@@ -7,7 +7,7 @@ INSTS ?= 1000000
 # with unchanged config+workload+seed+model are served without simulating.
 CACHE_DIR ?= .simcache
 
-.PHONY: build test race bench benchdiff bench-baseline sampling-speedup sweep accuracy serve smoke cluster-smoke verify verify-quick litmus clean
+.PHONY: build test race bench bench-test benchdiff bench-baseline sampling-speedup sweep accuracy serve smoke cluster-smoke verify verify-quick litmus clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ race:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
+
+# The benchmark under bench/ is a Go module of its own, so the root
+# `go build ./...` never compiles it: vet and test it against this tree, so
+# an API change here cannot break it silently.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark regression gate (scripts/benchdiff.sh): median-of-5 sched and
 # runcache micro-benchmarks vs scripts/bench_baseline.json. allocs/op is a

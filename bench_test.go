@@ -1,6 +1,7 @@
 package sparc64v
 
 import (
+	"context"
 	"testing"
 
 	"sparc64v/internal/core"
@@ -34,7 +35,7 @@ func BenchmarkTable1Base(b *testing.B) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(TPCC(), opt)
+		r, err := m.RunContext(context.Background(), TPCC(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func BenchmarkFig07Breakdown(b *testing.B) {
 	m, _ := NewModel(BaseConfig())
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Breakdown(TPCC(), opt); err != nil {
+		if _, err := m.BreakdownContext(context.Background(), TPCC(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +130,7 @@ func benchConfig(b *testing.B, cfg Config, p Profile) {
 	}
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(p, opt); err != nil {
+		if _, err := m.RunContext(context.Background(), p, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(SPECint95(), opt)
+		r, err := m.RunContext(context.Background(), SPECint95(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func BenchmarkSchedulerSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reports, err := sched.Map(len(profiles), sched.Options{Workers: opt.Workers},
-			func(j int) (system.Report, error) { return m.Run(profiles[j], opt) })
+			func(j int) (system.Report, error) { return m.RunContext(context.Background(), profiles[j], opt) })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func main() {
 		}
 		opt.Cache = cache
 	}
-	expt.MeterReset()
+	core.MeterReset()
 	t0 := time.Now()
 	results, err := expt.AllContext(ctx, opt)
 	wall := time.Since(t0)
@@ -156,7 +156,7 @@ func summarize(results []expt.Result, wall time.Duration, workers int, cache *ru
 		fmt.Fprintf(os.Stderr, "  %-12s %-40s %10s\n", r.ID, r.Title,
 			r.Elapsed.Round(time.Millisecond))
 	}
-	instrs, runs := expt.Meter()
+	instrs, _, runs := core.Meter()
 	fmt.Fprintf(os.Stderr,
 		"sweep: done in %s: %d runs, %.1fM instrs simulated, %.0f effective sim-instrs/s\n",
 		wall.Round(time.Millisecond), runs, float64(instrs)/1e6,

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := m.Run(p, opt)
+		r, err := m.RunContext(context.Background(), p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := m.Run(kernel, opt)
+		r, err := m.RunContext(context.Background(), kernel, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report, err := model.Run(profile, sparc64v.RunOptions{Insts: 120_000})
+		report, err := model.RunContext(context.Background(), profile, sparc64v.RunOptions{Insts: 120_000})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,11 +28,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rw, err := mWith.Run(p, opt)
+		rw, err := mWith.RunContext(context.Background(), p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ro, err := mWithout.Run(p, opt)
+		ro, err := mWithout.RunContext(context.Background(), p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,11 +44,11 @@ func main() {
 
 		// Where do the cycles go? The Figure 7 attribution, with and
 		// without prefetching.
-		bw, err := mWith.Breakdown(p, opt)
+		bw, err := mWith.BreakdownContext(context.Background(), p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bo, err := mWithout.Breakdown(p, opt)
+		bo, err := mWithout.BreakdownContext(context.Background(), p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 	}
 	opt := sparc64v.RunOptions{Insts: 200_000, Seed: 1}
 	for _, profile := range []sparc64v.Profile{sparc64v.SPECint95(), sparc64v.TPCC()} {
-		report, err := model.Run(profile, opt)
+		report, err := model.RunContext(context.Background(), profile, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -150,11 +150,14 @@ func (f *Features) Terms(cfg config.Config) (Terms, map[string]float64) {
 
 	// Core: 1/width of perfectly packed issue, plus per-class execution
 	// latency beyond a single cycle (mostly hidden by the out-of-order
-	// window; the calibrated coefficient prices how much is not).
+	// window; the calibrated coefficient prices how much is not). The sum
+	// runs in isa class order, never map order, so the term is
+	// bit-reproducible.
 	issue := 1 / float64(cfg.CPU.IssueWidth)
 	var exec float64
-	for name, w := range f.ClassWeights {
-		if cl, ok := classByName(name); ok {
+	for c := 0; c < isa.NumClasses; c++ {
+		cl := isa.Class(c)
+		if w, ok := f.ClassWeights[cl.String()]; ok {
 			exec += w * float64(cfg.CPU.Latencies[cl].Cycles-1)
 		}
 	}
@@ -214,17 +217,6 @@ func scalePow(rate float64, ref, cur int, exp float64) float64 {
 // scaleCache applies the capacity and associativity power laws together.
 func scaleCache(mpki float64, refBytes, curBytes, refWays, curWays int) float64 {
 	return scalePow(scalePow(mpki, refBytes, curBytes, sizeExp), refWays, curWays, waysExp)
-}
-
-// classByName inverts isa.Class.String. The class space is tiny, so a
-// linear scan is simpler than maintaining a parallel map.
-func classByName(name string) (isa.Class, bool) {
-	for c := 0; c < isa.NumClasses; c++ {
-		if isa.Class(c).String() == name {
-			return isa.Class(c), true
-		}
-	}
-	return 0, false
 }
 
 // Coefficients are the calibrated per-workload weights of the grouped

@@ -8,6 +8,7 @@ import (
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/core"
+	"sparc64v/internal/isa"
 	"sparc64v/internal/system"
 )
 
@@ -212,5 +213,41 @@ func TestMeasureFeaturesRejectsMP(t *testing.T) {
 	if _, err := MeasureFeatures(config.Base(), &r); err == nil ||
 		!strings.Contains(err.Error(), "uniprocessor") {
 		t.Errorf("MP report: got %v", err)
+	}
+}
+
+// TestTermsCoreBitReproducible (regression): Terms summed the class weights
+// in map-iteration order, so the Core term — and every /v1/estimate reply —
+// could differ in its last bits from one call to the next. The fixture's
+// sum is order-sensitive (forward and reverse class order differ in the
+// last bit), so any order leak shows up within a few calls.
+func TestTermsCoreBitReproducible(t *testing.T) {
+	cfg := config.Base()
+	f := Features{
+		ClassWeights: map[string]float64{
+			"alu": 0.21, "mul": 0.31, "div": 0.017, "fadd": 0.123,
+			"fmul": 0.0457, "fmadd": 0.29, "fdiv": 0.0033,
+		},
+		RefL1IBytes: cfg.L1I.SizeBytes, RefL1IWays: cfg.L1I.Ways,
+		RefL1DBytes: cfg.L1D.SizeBytes, RefL1DWays: cfg.L1D.Ways,
+		RefL2Bytes: cfg.Mem.L2.SizeBytes, RefL2Ways: cfg.Mem.L2.Ways,
+		RefBHTEntries: cfg.BHT.Entries, RefBHTAccessCycles: cfg.BHT.AccessCycles,
+	}
+	var fwd, rev float64
+	for c := 0; c < isa.NumClasses; c++ {
+		fwd += f.ClassWeights[isa.Class(c).String()] * float64(cfg.CPU.Latencies[c].Cycles-1)
+		r := isa.NumClasses - 1 - c
+		rev += f.ClassWeights[isa.Class(r).String()] * float64(cfg.CPU.Latencies[r].Cycles-1)
+	}
+	if fwd == rev {
+		t.Fatal("fixture is not order-sensitive; pick weights whose sum depends on order")
+	}
+	want := math.Float64bits(1/float64(cfg.CPU.IssueWidth) + fwd)
+	for i := 0; i < 200; i++ {
+		terms, _ := f.Terms(cfg)
+		if got := math.Float64bits(terms.Core); got != want {
+			t.Fatalf("call %d: Core = %v (bits %#x), want %v (bits %#x) from isa class order",
+				i, terms.Core, got, math.Float64frombits(want), want)
+		}
 	}
 }

@@ -1,59 +1,69 @@
 package core
 
-// Lockstep multi-config batching.
+// The run engine.
 //
-// A parameter sweep runs many nearby configurations against the same
-// workload trace; streamed serially, the frontend (synthetic-trace
-// generation, or file decode) repeats identically once per configuration.
-// RunBatch performs that work once: one trace.Fanout per CPU stream feeds
-// every member's machine through per-member cursors, and the driver
-// advances the members in lockstep rounds. Per-member mutable state stays
-// entirely inside each member's system.System slab (the system.Instance
-// interface is all the driver touches), so members are independent: each
-// produces a Report byte-identical to its own serial run (pinned by
-// TestRunBatchMatchesSerial), finishes, caps or errors individually, and is
-// keyed/cached in the runcache individually.
+// Every simulation — serial or batched, full or sampled — is advanced by
+// one loop, drive. A run is a member with three operations: need (the trace
+// records its next step reads), step (one bounded action) and finish (its
+// Report and error). A full run (fullRun) steps the detailed machine a
+// fixed number of cycles; a sampled run (sampledRun, sample.go) steps one
+// fast-forward chunk or one detailed window.
 //
-// Scheduling rule: a member may advance k cycles in a round only if every
-// one of its cursors can serve k × SourceReadBound records (or its stream
-// has hit EOF). The ring's back-pressure bounds how far members drift apart
-// in the trace; after each Fill the slowest member always sees a full ring,
-// so it always advances — the batch cannot deadlock on a single stream. On
-// multi-CPU machines, mutual starvation across *different* streams is
-// theoretically possible (members' relative progress would have to invert
-// by a whole ring depth on two streams at once); a round that advances no
-// member falls back to re-running one member serially, which restores
+// A serial run is a batch of one over its own sources: no ring, no
+// per-round checks, a full run stepping system.PollStride cycles between
+// context polls. A lockstep batch (RunBatch) is the same loop over shared
+// sources: a parameter sweep runs many nearby configurations against the
+// same workload trace, so one trace.Fanout per CPU stream decodes the trace
+// once and feeds every member's machine through per-member cursors. Each
+// round refills the rings and steps every member whose next step the rings
+// can feed. Per-member mutable state stays inside each member's
+// system.System, so members are independent: each produces a Report
+// byte-identical to its own serial run (pinned by TestRunBatchMatchesSerial),
+// finishes, caps or errors individually, and is cached individually.
+//
+// Scheduling rule: a member steps in a round only if none of its cursors is
+// starved for its next step's demand (a full member's batchStride cycles ×
+// fetch width, a sampled member's chunk or window). The ring's back-pressure
+// bounds how far members drift apart in the trace; after each Fill the
+// slowest member always sees a full ring, so it always advances — a batch
+// cannot deadlock on a single stream. On multi-CPU machines, mutual
+// starvation across *different* streams is theoretically possible (members'
+// relative progress would have to invert by a whole ring depth on two
+// streams at once); a round that advances no member peels one member off
+// and drives it again as a batch of one over fresh sources, which restores
 // progress while keeping results exact.
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/obs"
 	"sparc64v/internal/runcache"
+	"sparc64v/internal/sched"
 	"sparc64v/internal/system"
 	"sparc64v/internal/trace"
 	"sparc64v/internal/workload"
 )
 
-// batchStride is how many detailed cycles one member advances per lockstep
-// round. Small enough that members stay close in the trace (bounding ring
-// occupancy skew), large enough that round bookkeeping vanishes against
-// ~stride×CPUs Tick calls.
+// batchStride is how many detailed cycles a full member advances per
+// lockstep round. Small enough that members stay close in the trace
+// (bounding ring occupancy skew), large enough that round bookkeeping
+// vanishes against ~stride×CPUs Tick calls.
 const batchStride = 256
 
 // batchRingDepth sizes the full-run shared ring per CPU stream, in
-// records: it must cover at least batchStride cycles of maximum fetch
-// demand for the slowest member (stride × fetch width = 2048), and every
-// extra slot is drift allowance for fast members. 8K records ≈ 320 KiB per
-// stream.
+// records: it must cover batchStride cycles of maximum fetch demand for
+// the slowest member (stride × fetch width = 2048), and every extra slot is
+// drift allowance for fast members. 8K records ≈ 320 KiB per stream.
 const batchRingDepth = 8192
 
-// Batch metrics (process-wide registry, the runcache/sched idiom).
-// batchOccupancy is a live gauge — members enter at batch start and leave
-// one by one as they finish — so a scrape shows how much lockstep
-// parallelism the process is sustaining right now.
+// Batch metrics (process-wide registry, the runcache/sched idiom). They
+// count lockstep batches of two or more members only. batchOccupancy is a
+// live gauge — members enter at batch start and leave one by one as they
+// finish — so a scrape shows how much lockstep parallelism the process is
+// sustaining right now.
 var (
 	batchRuns = obs.Default().Counter("sparc64v_batch_runs_total",
 		"Lockstep batches executed.")
@@ -77,12 +87,357 @@ var (
 // in-memory record size the frontend would have re-materialized per member.
 const recordBytes = 40
 
+// A member is one run the engine advances.
+type member interface {
+	// need returns which CPU's trace the next step reads (-1: every CPU)
+	// and the most records it consumes there.
+	need() (cpu, n int)
+	// step performs the run's next bounded action and reports whether the
+	// run is over.
+	step(ctx context.Context) (done bool)
+	// finish closes the run out, once: its Report, and its error — a
+	// cancellation (cerr non-nil, or one seen while stepping), the cycle
+	// cap, or nil.
+	finish(cerr error) (system.Report, error)
+}
+
+// start builds the run opt asks for over srcs: sampled when opt.Sample is
+// enabled, full otherwise; batched marks a lockstep member.
+func (m *Model) start(label string, srcs []trace.Source, opt RunOptions, batched bool) (member, error) {
+	sp := opt.Obs.StartSpan("run", label)
+	if batched {
+		sp.Add("batched", 1)
+	}
+	if opt.Sample.Enabled() {
+		r, err := newSampledRun(m, label, srcs, opt, sp)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	cfg := m.cfg
+	cfg.WarmupInsts = opt.Warmup
+	endBuild := sp.Phase(obs.PhaseBuild)
+	sys, err := system.New(cfg, srcs)
+	endBuild()
+	if err != nil {
+		return nil, err
+	}
+	return &fullRun{m: m, label: label, opt: opt, sp: sp, sys: sys, batched: batched}, nil
+}
+
+// fullRun is a full detailed run: each step ticks the machine stride()
+// cycles.
+type fullRun struct {
+	m       *Model
+	label   string
+	opt     RunOptions
+	sp      *obs.Span
+	sys     *system.System
+	batched bool
+	capped  bool
+	endSim  func() // closes the open sim phase, if any
+}
+
+// stride is the cycles per step: a lockstep member ticks batchStride so it
+// stays close to its batch in the trace; a lone run ticks
+// system.PollStride, its cancellation stride.
+func (r *fullRun) stride() int {
+	if r.batched {
+		return batchStride
+	}
+	return system.PollStride
+}
+
+func (r *fullRun) need() (int, int) { return -1, r.stride() * r.sys.SourceReadBound(0) }
+
+// step keeps a lone run's sim phase open across its back-to-back steps:
+// closing a span phase takes the span's lock, and a lock per step costs
+// ~10% under the race detector. A batch member's steps interleave with
+// other members', so each is timed on its own.
+func (r *fullRun) step(context.Context) bool {
+	if r.endSim == nil {
+		r.endSim = r.sp.Phase(obs.PhaseSim)
+	}
+	done, capped := r.sys.Step(r.stride(), r.opt.MaxCycles)
+	r.capped = capped
+	if r.batched {
+		r.closeSim()
+	}
+	return done || capped
+}
+
+func (r *fullRun) closeSim() {
+	if r.endSim != nil {
+		r.endSim()
+		r.endSim = nil
+	}
+}
+
+func (r *fullRun) finish(cerr error) (system.Report, error) {
+	r.closeSim()
+	endReport := r.sp.Phase(obs.PhaseReport)
+	rep := r.sys.Report(r.label)
+	rep.HitCap = r.capped
+	meter(rep.Committed, rep.Cycles)
+	endReport()
+	spanReport(r.sp, rep)
+	r.sp.Finish()
+	return rep, r.m.runErr(r.label, r.opt, cerr, r.capped)
+}
+
+// runErr is a finished run's error: cancelled, capped, or nil.
+func (m *Model) runErr(label string, opt RunOptions, cerr error, capped bool) error {
+	if cerr != nil {
+		return fmt.Errorf("core: %s/%s cancelled: %w", m.cfg.Name, label, cerr)
+	}
+	if capped {
+		return fmt.Errorf("core: %s/%s hit the %d-cycle cap", m.cfg.Name, label, opt.MaxCycles)
+	}
+	return nil
+}
+
+// drive is the run engine: it advances members until each is over and
+// returns their reports and errors, index-aligned with members. A nil
+// member (one that failed to start) is skipped.
+//
+// With fans == nil each member reads its own sources and steps back to
+// back, with a context poll between steps. With fans, member i reads
+// cursor i of every fan; each round refills the rings and steps every
+// member whose next step the rings can feed. A round that steps nobody
+// peels the first waiting member off and drives it again, as a batch of
+// one over the fresh sources restart builds.
+func drive(ctx context.Context, members []member, fans []*trace.Fanout, restart func(i int) (member, error)) ([]system.Report, []error) {
+	reps := make([]system.Report, len(members))
+	errs := make([]error, len(members))
+	leave := func(i int) {
+		if fans == nil {
+			return
+		}
+		for _, f := range fans {
+			f.Cursor(i).Close()
+		}
+		batchOccupancy.Add(-1)
+	}
+	finish := func(i int, cerr error) {
+		reps[i], errs[i] = members[i].finish(cerr)
+		leave(i)
+	}
+	var live []int
+	for i, mb := range members {
+		if mb == nil {
+			leave(i)
+			continue
+		}
+		live = append(live, i)
+	}
+	done := ctx.Done()
+	for len(live) > 0 {
+		if done != nil {
+			select {
+			case <-done:
+				for _, i := range live {
+					finish(i, ctx.Err())
+				}
+				return reps, errs
+			default:
+			}
+		}
+		for _, f := range fans {
+			f.Fill()
+		}
+		progressed := false
+		next := live[:0]
+		for _, i := range live {
+			if fans != nil && starved(fans, i, members[i]) {
+				next = append(next, i)
+				continue
+			}
+			progressed = true
+			if members[i].step(ctx) {
+				finish(i, nil)
+			} else {
+				next = append(next, i)
+			}
+		}
+		live = next
+		if !progressed {
+			i := live[0]
+			live = live[1:]
+			leave(i)
+			batchStallRestarts.Inc()
+			mb, err := restart(i)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			r, e := drive(ctx, []member{mb}, nil, nil)
+			reps[i], errs[i] = r[0], e[0]
+		}
+	}
+	return reps, errs
+}
+
+// starved reports whether member i's cursors cannot yet feed mb's next
+// step.
+func starved(fans []*trace.Fanout, i int, mb member) bool {
+	cpu, n := mb.need()
+	if cpu >= 0 {
+		return fans[cpu].Cursor(i).Starved(n)
+	}
+	for _, f := range fans {
+		if f.Cursor(i).Starved(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// profileSources generates the profile's per-CPU traces for a run.
+func profileSources(p workload.Profile, opt RunOptions, cpus int) []trace.Source {
+	gens := workload.NewMP(p, opt.Seed, cpus)
+	srcs := make([]trace.Source, len(gens))
+	for i, g := range gens {
+		srcs[i] = trace.NewLimitSource(g, opt.Insts)
+	}
+	return srcs
+}
+
+// ringDepth sizes the shared ring per CPU stream. A sampled member's
+// largest single step is a whole detailed window's budget or one
+// fast-forward chunk; the ring holds twice that, so the slowest member
+// still sees a full ring while others buffer.
+func ringDepth(opt RunOptions) int {
+	if !opt.Sample.Enabled() {
+		return batchRingDepth
+	}
+	return 2 * max(ffChunk, opt.Sample.WarmupInsts, opt.Sample.MeasureInsts)
+}
+
+// runProfile is the one cache path, under RunContext and RunBatch: it runs
+// p on every non-nil model, writing each result to reps[i], errs[i]. With
+// opt.Cache set, models whose run is already cached are served first, each
+// with a span carrying the cached marker. A lone remaining run goes through
+// GetOrRun, so concurrent identical runs share one simulation; two or more
+// run in lockstep and each success is stored. Failed or cancelled runs are
+// never stored.
+func runProfile(ctx context.Context, models []*Model, p workload.Profile, opt RunOptions, reps []system.Report, errs []error) {
+	keys := make([]*runcache.Key, len(models))
+	var live []*Model
+	var at []int
+	for i, m := range models {
+		if m == nil {
+			continue
+		}
+		if opt.Cache != nil {
+			// An unhashable configuration (cannot happen for real Configs)
+			// runs uncached rather than failing.
+			if key, err := m.runKey(p, opt); err == nil {
+				keys[i] = &key
+				sp := opt.Obs.StartSpan("run", p.Name)
+				end := sp.Phase(obs.PhaseCache)
+				rep, ok := opt.Cache.Get(key)
+				end()
+				if ok {
+					cachedSpan(sp, rep)
+					if len(models) > 1 {
+						batchCacheSkips.Inc()
+					}
+					reps[i] = rep
+					continue
+				}
+			}
+		}
+		live = append(live, m)
+		at = append(at, i)
+	}
+	switch len(live) {
+	case 0:
+	case 1:
+		m, i := live[0], at[0]
+		sim := func(ctx context.Context) (system.Report, error) {
+			return m.RunSourcesContext(ctx, p.Name, profileSources(p, opt, m.cfg.CPUs), opt)
+		}
+		if keys[i] == nil {
+			reps[i], errs[i] = sim(ctx)
+			return
+		}
+		sp := opt.Obs.StartSpan("run", p.Name)
+		end := sp.Phase(obs.PhaseCache)
+		rep, outcome, err := opt.Cache.GetOrRun(ctx, *keys[i], sim)
+		end()
+		if err == nil && outcome.Cached() {
+			cachedSpan(sp, rep)
+		}
+		reps[i], errs[i] = rep, err
+	default:
+		r, e := lockstep(ctx, live, p, opt, ringDepth(opt))
+		for k, i := range at {
+			reps[i], errs[i] = r[k], e[k]
+			if e[k] == nil && keys[i] != nil {
+				opt.Cache.Put(*keys[i], r[k])
+			}
+		}
+	}
+}
+
+// cachedSpan closes a cache-served run's span: the cached marker and the
+// served report's counters are the run's whole story. (On a miss the
+// simulation publishes its own span and the lookup's span is dropped.)
+func cachedSpan(sp *obs.Span, rep system.Report) {
+	sp.Add("cached", 1)
+	spanReport(sp, rep)
+	sp.Finish()
+}
+
+// lockstep runs p on two or more models with the same CPU count over one
+// decoded trace: one fanout per CPU stream with the given ring depth, one
+// cursor per (stream, member).
+func lockstep(ctx context.Context, models []*Model, p workload.Profile, opt RunOptions, depth int) ([]system.Report, []error) {
+	cpus := models[0].cfg.CPUs
+	batchRuns.Inc()
+	batchMembersTotal.Add(uint64(len(models)))
+	batchOccupancy.Add(int64(len(models)))
+	fans := make([]*trace.Fanout, cpus)
+	for c, src := range profileSources(p, opt, cpus) {
+		fans[c] = trace.NewFanout(src, depth, len(models))
+	}
+	members := make([]member, len(models))
+	startErrs := make([]error, len(models))
+	for i, m := range models {
+		srcs := make([]trace.Source, cpus)
+		for c, f := range fans {
+			srcs[c] = f.Cursor(i)
+		}
+		members[i], startErrs[i] = m.start(p.Name, srcs, opt, true)
+	}
+	reps, errs := drive(ctx, members, fans, func(i int) (member, error) {
+		return models[i].start(p.Name, profileSources(p, opt, cpus), opt, false)
+	})
+	for i, err := range startErrs {
+		if err != nil {
+			errs[i] = err
+		}
+	}
+
+	var streamed, served uint64
+	for _, f := range fans {
+		streamed += f.Streamed()
+		served += f.Served()
+	}
+	batchRecordsStreamed.Add(streamed)
+	if served > streamed {
+		batchRecordsSaved.Add(served - streamed)
+		batchBytesSaved.Add((served - streamed) * recordBytes)
+	}
+	return reps, errs
+}
+
 // BatchKey returns the grouping key under which runs may share one decoded
 // trace stream: everything that determines the trace and the lockstep
 // schedule — profile, CPU count, seed, length, warmup, cap, sampling —
 // excluding the machine configuration itself, which is exactly what varies
-// across a batch. Harnesses (internal/expt) group sweep points by this key
-// and hand each group to RunBatch.
+// across a batch. RunJobs groups jobs by this key.
 func BatchKey(cfg config.Config, p workload.Profile, opt RunOptions) (string, error) {
 	opt.defaults()
 	ph, err := config.HashJSON(p)
@@ -117,14 +472,9 @@ func BatchKey(cfg config.Config, p workload.Profile, opt RunOptions) (string, er
 // windows advance in lockstep against the same shared rings.
 func RunBatch(ctx context.Context, cfgs []config.Config, p workload.Profile, opt RunOptions) ([]system.Report, []error) {
 	opt.defaults()
-	n := len(cfgs)
-	reps := make([]system.Report, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return reps, errs
-	}
-
-	models := make([]*Model, n)
+	reps := make([]system.Report, len(cfgs))
+	errs := make([]error, len(cfgs))
+	models := make([]*Model, len(cfgs))
 	cpus := 0
 	for i := range cfgs {
 		m, err := NewModel(cfgs[i])
@@ -132,345 +482,95 @@ func RunBatch(ctx context.Context, cfgs []config.Config, p workload.Profile, opt
 			errs[i] = err
 			continue
 		}
-		models[i] = m
 		if cpus == 0 {
 			cpus = m.cfg.CPUs
 		}
-	}
-	for i, m := range models {
-		if m != nil && m.cfg.CPUs != cpus {
+		if m.cfg.CPUs != cpus {
 			errs[i] = fmt.Errorf("core: batch member %s has %d CPUs, want %d (members share per-CPU trace streams)",
 				m.cfg.Name, m.cfg.CPUs, cpus)
-			models[i] = nil
-		}
-	}
-
-	// Cache pre-pass: serve hits before any streaming, so cached members
-	// cost nothing and never hold the ring back.
-	keys := make([]runcache.Key, n)
-	haveKey := make([]bool, n)
-	var live []int
-	for i, m := range models {
-		if m == nil {
 			continue
 		}
-		if opt.Cache != nil {
-			if key, err := m.runKey(p, opt); err == nil {
-				keys[i], haveKey[i] = key, true
-				if rep, ok := opt.Cache.Get(key); ok {
-					// Mirror RunContext's hit path: a span with the cached
-					// marker is the member's whole story.
-					sp := opt.Obs.StartSpan("run", p.Name)
-					sp.Add("cached", 1)
-					spanReport(sp, rep)
-					sp.Finish()
-					batchCacheSkips.Inc()
-					reps[i] = rep
-					continue
-				}
+		models[i] = m
+	}
+	runProfile(ctx, models, p, opt, reps, errs)
+	return reps, errs
+}
+
+// Job is one independent simulation of a study: a configuration, a
+// workload and the run's options.
+type Job struct {
+	Config  config.Config
+	Profile workload.Profile
+	Opt     RunOptions
+}
+
+// RunJobs is the harnesses' job fan-out. It runs jobs on the scheduler,
+// opt.Workers wide, and returns every job's report and error in submission
+// order. With opt.Batch > 1, jobs that share a BatchKey are cut into chunks
+// of at most opt.Batch, and each chunk runs as one RunBatch that streams
+// its trace once; otherwise every job is a chunk of its own. A chunk the
+// scheduler skipped after cancellation reports ctx.Err() for each of its
+// jobs. Like Workers, batching never changes a report or an error.
+func RunJobs(ctx context.Context, jobs []Job, opt RunOptions) ([]system.Report, []error) {
+	size := max(opt.Batch, 1)
+	groups := make(map[string][]int)
+	var order []string
+	for i, j := range jobs {
+		key := strconv.Itoa(i) // a chunk of its own; BatchKeys contain \x00
+		if size > 1 {
+			// An unkeyable job runs alone; its run surfaces the error.
+			if k, err := BatchKey(j.Config, j.Profile, j.Opt); err == nil {
+				key = k
 			}
 		}
-		live = append(live, i)
-	}
-	switch len(live) {
-	case 0:
-		return reps, errs
-	case 1:
-		// Nothing to amortize across: take the ordinary serial path (which
-		// also handles cache storage via GetOrRun).
-		i := live[0]
-		reps[i], errs[i] = models[i].RunContext(ctx, p, opt)
-		return reps, errs
-	}
-
-	batchRuns.Inc()
-	batchMembersTotal.Add(uint64(len(live)))
-	batchOccupancy.Add(int64(len(live)))
-
-	// Shared frontend: one generator chain and one fanout ring per CPU
-	// stream, one cursor per (stream, member).
-	depth := batchRingDepth
-	if opt.Sample.Enabled() {
-		// The ring must cover a member's largest single action: a whole
-		// detailed window's budget, or one fast-forward chunk. Double it so
-		// the slowest member still sees a full ring while others buffer.
-		need := ffChunk
-		if opt.Sample.WarmupInsts > need {
-			need = opt.Sample.WarmupInsts
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
 		}
-		if opt.Sample.MeasureInsts > need {
-			need = opt.Sample.MeasureInsts
+		groups[key] = append(groups[key], i)
+	}
+	var chunks [][]int
+	for _, key := range order {
+		idx := groups[key]
+		for len(idx) > size {
+			chunks = append(chunks, idx[:size])
+			idx = idx[size:]
 		}
-		depth = 2 * need
-	}
-	gens := workload.NewMP(p, opt.Seed, cpus)
-	fans := make([]*trace.Fanout, cpus)
-	for c := 0; c < cpus; c++ {
-		fans[c] = trace.NewFanout(trace.NewLimitSource(gens[c], opt.Insts), depth, len(live))
+		chunks = append(chunks, idx)
 	}
 
-	if opt.Sample.Enabled() {
-		runBatchSampled(ctx, models, live, fans, p, opt, reps, errs)
-	} else {
-		runBatchFull(ctx, models, live, fans, p, opt, reps, errs)
-	}
-
-	// Cache post-pass: store every member that simulated to completion.
-	// Errored/cancelled members are never stored (the GetOrRun rule).
-	if opt.Cache != nil {
-		for _, i := range live {
-			if errs[i] == nil && haveKey[i] {
-				opt.Cache.Put(keys[i], reps[i])
+	reps := make([]system.Report, len(jobs))
+	errs := make([]error, len(jobs))
+	_, skipped := sched.MapAllCtx(ctx, len(chunks), sched.Options{Workers: opt.Workers},
+		func(ctx context.Context, c int) (struct{}, error) {
+			idx := chunks[c]
+			cfgs := make([]config.Config, len(idx))
+			for k, i := range idx {
+				cfgs[k] = jobs[i].Config
+			}
+			first := jobs[idx[0]]
+			r, e := RunBatch(ctx, cfgs, first.Profile, first.Opt)
+			for k, i := range idx {
+				reps[i], errs[i] = r[k], e[k]
+			}
+			return struct{}{}, nil
+		})
+	for c, err := range skipped {
+		for _, i := range chunks[c] {
+			if err != nil && errs[i] == nil {
+				errs[i] = err
 			}
 		}
-	}
-
-	var streamed, served uint64
-	for _, f := range fans {
-		streamed += f.Streamed()
-		served += f.Served()
-	}
-	batchRecordsStreamed.Add(streamed)
-	if served > streamed {
-		batchRecordsSaved.Add(served - streamed)
-		batchBytesSaved.Add((served - streamed) * recordBytes)
 	}
 	return reps, errs
 }
 
-// fullMember is one full-run batch member's driver state.
-type fullMember struct {
-	idx     int
-	m       *Model
-	sys     *system.System
-	inst    system.Instance
-	cursors []*trace.Cursor
-	sp      *obs.Span
-}
-
-// finish closes the member out exactly like the serial full-run path:
-// report snapshot, cap/cancel error formatting, meter and span accounting.
-func (bm *fullMember) finish(label string, opt RunOptions, capped bool, cerr error) (system.Report, error) {
-	for _, cur := range bm.cursors {
-		cur.Close()
-	}
-	batchOccupancy.Add(-1)
-	endReport := bm.sp.Phase(obs.PhaseReport)
-	r := bm.sys.Report(label)
-	r.HitCap = capped
-	meterInstrs.Add(r.Committed)
-	meterCycles.Add(r.Cycles)
-	meterRuns.Add(1)
-	endReport()
-	spanReport(bm.sp, r)
-	bm.sp.Add("batched", 1)
-	bm.sp.Finish()
-	if cerr != nil {
-		return r, fmt.Errorf("core: %s/%s cancelled: %w", bm.m.cfg.Name, label, cerr)
-	}
-	if capped {
-		return r, fmt.Errorf("core: %s/%s hit the %d-cycle cap", bm.m.cfg.Name, label, opt.MaxCycles)
-	}
-	return r, nil
-}
-
-// runBatchFull advances full detailed runs in lockstep: each round refills
-// the rings, then gives every member up to batchStride cycles, skipping
-// members whose cursors cannot cover the round's worst-case fetch demand.
-func runBatchFull(ctx context.Context, models []*Model, live []int, fans []*trace.Fanout,
-	p workload.Profile, opt RunOptions, reps []system.Report, errs []error) {
-	label := p.Name
-	cpus := len(fans)
-	members := make([]*fullMember, 0, len(live))
-	for slot, idx := range live {
-		m := models[idx]
-		cfg := m.cfg
-		cfg.WarmupInsts = opt.Warmup
-		sp := opt.Obs.StartSpan("run", label)
-		endBuild := sp.Phase(obs.PhaseBuild)
-		curs := make([]*trace.Cursor, cpus)
-		srcs := make([]trace.Source, cpus)
-		for c := 0; c < cpus; c++ {
-			curs[c] = fans[c].Cursor(slot)
-			srcs[c] = curs[c]
-		}
-		sys, err := system.New(cfg, srcs)
-		endBuild()
+// firstErr returns the lowest-index error, the one a serial loop over the
+// same jobs would have hit first.
+func firstErr(errs []error) error {
+	for _, err := range errs {
 		if err != nil {
-			// Cannot happen for NewModel-validated configs; close out
-			// defensively so the ring is not pinned forever.
-			for _, cur := range curs {
-				cur.Close()
-			}
-			batchOccupancy.Add(-1)
-			errs[idx] = err
-			continue
-		}
-		members = append(members, &fullMember{idx: idx, m: m, sys: sys, inst: sys, cursors: curs, sp: sp})
-	}
-
-	done := ctx.Done()
-	for len(members) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				for _, bm := range members {
-					reps[bm.idx], errs[bm.idx] = bm.finish(label, opt, false, ctx.Err())
-				}
-				return
-			default:
-			}
-		}
-		for _, f := range fans {
-			f.Fill()
-		}
-		progressed := false
-		next := members[:0]
-		for _, bm := range members {
-			k := batchStride
-			for c, cur := range bm.cursors {
-				if fans[c].EOF() {
-					continue
-				}
-				if kc := cur.Buffered() / bm.inst.SourceReadBound(c); kc < k {
-					k = kc
-				}
-			}
-			if k == 0 {
-				// Starved: a slower member pins the ring. Skip this round.
-				next = append(next, bm)
-				continue
-			}
-			endSim := bm.sp.Phase(obs.PhaseSim)
-			mdone, capped := bm.inst.Step(k, opt.MaxCycles)
-			endSim()
-			progressed = true
-			if mdone || capped {
-				reps[bm.idx], errs[bm.idx] = bm.finish(label, opt, capped, nil)
-			} else {
-				next = append(next, bm)
-			}
-		}
-		members = next
-		if !progressed && len(members) > 0 {
-			// Cross-stream starvation (see package comment): peel one member
-			// off and re-run it serially so the rest can move.
-			bm := members[0]
-			members = members[1:]
-			for _, cur := range bm.cursors {
-				cur.Close()
-			}
-			batchOccupancy.Add(-1)
-			batchStallRestarts.Inc()
-			o := opt
-			o.Cache = nil // the batch post-pass stores it like any member
-			reps[bm.idx], errs[bm.idx] = bm.m.RunContext(ctx, p, o)
+			return err
 		}
 	}
-}
-
-// sampledMember is one sampled batch member's driver state.
-type sampledMember struct {
-	idx     int
-	run     *sampledRun
-	cursors []*trace.Cursor
-}
-
-func (bm *sampledMember) close() {
-	for _, cur := range bm.cursors {
-		cur.Close()
-	}
-	batchOccupancy.Add(-1)
-}
-
-// runBatchSampled advances sampled runs in lockstep. Each member is a
-// sampledRun state machine (sample.go); a round steps every member whose
-// next action — a fast-forward chunk or one detailed window — the shared
-// rings can feed. The per-member action sequence is exactly the serial
-// one, so sampled reports stay byte-identical batched vs serial.
-func runBatchSampled(ctx context.Context, models []*Model, live []int, fans []*trace.Fanout,
-	p workload.Profile, opt RunOptions, reps []system.Report, errs []error) {
-	cpus := len(fans)
-	members := make([]*sampledMember, 0, len(live))
-	for slot, idx := range live {
-		curs := make([]*trace.Cursor, cpus)
-		srcs := make([]trace.Source, cpus)
-		for c := 0; c < cpus; c++ {
-			curs[c] = fans[c].Cursor(slot)
-			srcs[c] = curs[c]
-		}
-		run, err := newSampledRun(models[idx], p.Name, srcs, opt)
-		if err != nil {
-			for _, cur := range curs {
-				cur.Close()
-			}
-			batchOccupancy.Add(-1)
-			errs[idx] = err
-			continue
-		}
-		bm := &sampledMember{idx: idx, run: run, cursors: curs}
-		if run.stage == stageDone { // degenerate schedule: finished at birth
-			reps[idx], errs[idx] = run.finish()
-			bm.close()
-			continue
-		}
-		members = append(members, bm)
-	}
-
-	done := ctx.Done()
-	for len(members) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				for _, bm := range members {
-					bm.run.cancel(ctx.Err())
-					reps[bm.idx], errs[bm.idx] = bm.run.finish()
-					bm.close()
-				}
-				return
-			default:
-			}
-		}
-		for _, f := range fans {
-			f.Fill()
-		}
-		progressed := false
-		next := members[:0]
-		for _, bm := range members {
-			cpu, need := bm.run.needRecords()
-			starved := false
-			if cpu >= 0 {
-				starved = bm.cursors[cpu].Starved(need)
-			} else {
-				for _, cur := range bm.cursors {
-					if cur.Starved(need) {
-						starved = true
-						break
-					}
-				}
-			}
-			if starved {
-				next = append(next, bm)
-				continue
-			}
-			bm.run.step(ctx)
-			progressed = true
-			if bm.run.stage == stageDone {
-				reps[bm.idx], errs[bm.idx] = bm.run.finish()
-				bm.close()
-			} else {
-				next = append(next, bm)
-			}
-		}
-		members = next
-		if !progressed && len(members) > 0 {
-			bm := members[0]
-			members = members[1:]
-			bm.close()
-			batchStallRestarts.Inc()
-			o := opt
-			o.Cache = nil
-			reps[bm.idx], errs[bm.idx] = bm.run.m.RunContext(ctx, p, o)
-		}
-	}
+	return nil
 }

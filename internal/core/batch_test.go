@@ -362,3 +362,48 @@ func TestStepMatchesRunContext(t *testing.T) {
 		t.Error("stepped report differs from RunContext report")
 	}
 }
+
+// TestDriveStallFallback drives lockstep batches over a ring shallower than
+// one step's demand, so no member can ever step from the ring and every
+// round stalls. The engine must peel the members off one by one and drive
+// each again as a batch of one over fresh sources: every report must be
+// byte-identical to the member's own serial run, and each peel must count
+// as a stall restart.
+func TestDriveStallFallback(t *testing.T) {
+	mp := config.Base().WithCPUs(2)
+	cases := []struct {
+		name string
+		cfgs []config.Config
+		p    workload.Profile
+		opt  RunOptions
+	}{
+		{"sampled", []config.Config{config.Base(), config.Base().WithSmallL1()}, workload.SPECint95(),
+			RunOptions{Insts: 40_000, Sample: config.Sampling{IntervalInsts: 10_000, WarmupInsts: 1_000, MeasureInsts: 2_000}}},
+		{"full-2cpu", []config.Config{mp, mp.WithIssueWidth(2)}, workload.TPCC16P(), RunOptions{Insts: 10_000}},
+	}
+	const depth = 64 // below a sampled chunk or window and a full member's stride × fetch width
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			serial := runSerial(t, c.cfgs, c.p, c.opt)
+			opt := c.opt
+			opt.defaults()
+			models := make([]*Model, len(c.cfgs))
+			for i, cfg := range c.cfgs {
+				models[i], _ = NewModel(cfg)
+			}
+			before := batchStallRestarts.Value()
+			reps, errs := lockstep(context.Background(), models, c.p, opt, depth)
+			if got := batchStallRestarts.Value() - before; got < uint64(len(models)) {
+				t.Errorf("stall restarts went up by %d, want >= %d", got, len(models))
+			}
+			for i := range c.cfgs {
+				if errs[i] != nil {
+					t.Fatalf("member %d: %v", i, errs[i])
+				}
+				if got, want := reportBytes(t, reps[i]), reportBytes(t, serial[i]); got != want {
+					t.Errorf("member %d (%s) differs from its batch-of-one run", i, c.cfgs[i].Name)
+				}
+			}
+		})
+	}
+}

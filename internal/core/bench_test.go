@@ -31,7 +31,7 @@ func benchRun(b *testing.B, opt RunOptions) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(workload.SPECint95(), opt)
+		r, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func benchSweep(b *testing.B, batch bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := m.Run(p, opt)
+			r, err := m.RunContext(context.Background(), p, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

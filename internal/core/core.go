@@ -7,14 +7,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync/atomic"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/obs"
 	"sparc64v/internal/runcache"
-	"sparc64v/internal/sched"
 	"sparc64v/internal/stats"
 	"sparc64v/internal/system"
 	"sparc64v/internal/trace"
@@ -47,6 +45,13 @@ func Meter() (instrs, cycles, runs uint64) {
 	return meterInstrs.Load(), meterCycles.Load(), meterRuns.Load()
 }
 
+// meter counts one finished simulation.
+func meter(instrs, cycles uint64) {
+	meterInstrs.Add(instrs)
+	meterCycles.Add(cycles)
+	meterRuns.Add(1)
+}
+
 // Model is a machine configuration ready to run workloads.
 type Model struct {
 	cfg config.Config
@@ -77,19 +82,19 @@ type RunOptions struct {
 	// statistics (cache/BHT warmup, mirroring the paper's steady-state
 	// trace capture); 0 means Insts/5.
 	Warmup uint64
-	// Workers bounds harness-level fan-out: how many independent
-	// simulations (Breakdown's fidelity runs, RunMany's seeds, the expt
-	// studies) run concurrently. 0 means GOMAXPROCS, 1 forces a serial
-	// run. It never changes results — every job owns its model and trace
-	// state, and results are assembled in submission order.
+	// Workers bounds harness-level fan-out (RunJobs): how many independent
+	// simulations (BreakdownContext's fidelity runs, RunManyContext's
+	// seeds, the expt studies) run concurrently. 0 means GOMAXPROCS, 1
+	// forces a serial run. It never changes results — every job owns its
+	// model and trace state, and results are assembled in submission order.
 	Workers int
 	// Cache, when non-nil, serves profile-based runs content-addressed:
 	// the result of an identical (configuration, workload, seed, insts,
 	// model version) run is returned from the cache instead of being
 	// re-simulated, and concurrent identical runs share one simulation.
 	// Results are byte-identical either way (see runcache). Trace-file
-	// runs (RunSources*) are never cached — a file has no stable content
-	// key here.
+	// runs (RunSourcesContext) are never cached — a file has no stable
+	// content key here.
 	Cache *runcache.Cache
 	// Obs, when non-nil, collects a per-run profile span (wall time split
 	// into build/sim/report/cache phases, plus the run's headline counters)
@@ -108,12 +113,12 @@ type RunOptions struct {
 	// measure the same post-warm-up population) and the per-window detailed
 	// warm-up replaces the classic measurement reset.
 	Sample config.Sampling
-	// Batch, when > 1, lets batch-aware harnesses (internal/expt, cmd/sweep,
-	// cmd/accuracy) group up to Batch runs that share a workload trace
-	// (same BatchKey) and execute each group through RunBatch, decoding the
-	// trace once for the whole group. Like Workers it never changes
-	// results — batched Reports are byte-identical to serial ones — only
-	// how the work is scheduled. 0 or 1 disables batching.
+	// Batch, when > 1, lets RunJobs (and the harnesses on it: internal/expt,
+	// cmd/sweep, cmd/accuracy) group up to Batch runs that share a workload
+	// trace (same BatchKey) and execute each group through RunBatch,
+	// decoding the trace once for the whole group. Like Workers it never
+	// changes results — batched Reports are byte-identical to serial ones —
+	// only how the work is scheduled. 0 or 1 disables batching.
 	Batch int
 }
 
@@ -132,44 +137,19 @@ func (o *RunOptions) defaults() {
 	}
 }
 
-// Run simulates the profile on this model. For multiprocessor
+// RunContext simulates the profile on this model. For multiprocessor
 // configurations one trace per CPU is generated (sharing the profile's
-// Shared region).
-func (m *Model) Run(p workload.Profile, opt RunOptions) (system.Report, error) {
-	return m.RunContext(context.Background(), p, opt)
-}
-
-// RunContext is Run with a cancellation point: the simulation polls ctx on
-// a coarse cycle stride (system.RunContext) and returns a partial report
-// wrapped around ctx.Err() when cancelled mid-run.
+// Shared region). The simulation polls ctx on a coarse stride and returns a
+// partial report wrapped around ctx.Err() when cancelled mid-run.
 //
 // With opt.Cache set the run is content-addressed: a prior identical run's
 // report is returned without simulating, and concurrent identical runs
 // share one simulation. Failed or cancelled runs are never cached.
 func (m *Model) RunContext(ctx context.Context, p workload.Profile, opt RunOptions) (system.Report, error) {
 	opt.defaults()
-	if opt.Cache != nil {
-		if key, err := m.runKey(p, opt); err == nil {
-			sp := opt.Obs.StartSpan("run", p.Name)
-			endCache := sp.Phase(obs.PhaseCache)
-			rep, outcome, err := opt.Cache.GetOrRun(ctx, key, func(ctx context.Context) (system.Report, error) {
-				return m.runProfile(ctx, p, opt)
-			})
-			endCache()
-			if err == nil && outcome.Cached() {
-				// Cache-served: this span is the run's whole story. On a
-				// miss the inner runProfile already published the real
-				// span, so this wrapper is dropped (never finished).
-				sp.Add("cached", 1)
-				spanReport(sp, rep)
-				sp.Finish()
-			}
-			return rep, err
-		}
-		// Unhashable configuration (cannot happen for real Configs):
-		// degrade to an uncached run rather than failing it.
-	}
-	return m.runProfile(ctx, p, opt)
+	reps, errs := make([]system.Report, 1), make([]error, 1)
+	runProfile(ctx, []*Model{m}, p, opt, reps, errs)
+	return reps[0], errs[0]
 }
 
 // RunKey is the content address RunContext files the run under. Callers
@@ -217,58 +197,18 @@ func (m *Model) runKey(p workload.Profile, opt RunOptions) (runcache.Key, error)
 	return key, nil
 }
 
-// runProfile generates the profile's traces and simulates them (the
-// uncached path under RunContext).
-func (m *Model) runProfile(ctx context.Context, p workload.Profile, opt RunOptions) (system.Report, error) {
-	gens := workload.NewMP(p, opt.Seed, m.cfg.CPUs)
-	srcs := make([]trace.Source, len(gens))
-	for i, g := range gens {
-		srcs[i] = trace.NewLimitSource(g, opt.Insts)
-	}
-	return m.RunSourcesContext(ctx, p.Name, srcs, opt)
-}
-
-// RunSources simulates explicit trace sources (e.g. trace files).
-func (m *Model) RunSources(label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
-	return m.RunSourcesContext(context.Background(), label, srcs, opt)
-}
-
-// RunSourcesContext is RunSources with a cancellation point. On
-// cancellation it returns the partial report alongside an error wrapping
-// ctx.Err().
+// RunSourcesContext simulates explicit trace sources (e.g. trace files),
+// one per CPU: a batch of one through the run engine, reading the sources
+// directly. On cancellation it returns the partial report alongside an
+// error wrapping ctx.Err().
 func (m *Model) RunSourcesContext(ctx context.Context, label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
 	opt.defaults()
-	if opt.Sample.Enabled() {
-		return m.runSampled(ctx, label, srcs, opt)
-	}
-	sp := opt.Obs.StartSpan("run", label)
-	cfg := m.cfg
-	cfg.WarmupInsts = opt.Warmup
-	endBuild := sp.Phase(obs.PhaseBuild)
-	sys, err := system.New(cfg, srcs)
-	endBuild()
+	mb, err := m.start(label, srcs, opt, false)
 	if err != nil {
 		return system.Report{}, err
 	}
-	endSim := sp.Phase(obs.PhaseSim)
-	_, capped, cerr := sys.RunContext(ctx, opt.MaxCycles)
-	endSim()
-	endReport := sp.Phase(obs.PhaseReport)
-	r := sys.Report(label)
-	r.HitCap = capped
-	meterInstrs.Add(r.Committed)
-	meterCycles.Add(r.Cycles)
-	meterRuns.Add(1)
-	endReport()
-	spanReport(sp, r)
-	sp.Finish()
-	if cerr != nil {
-		return r, fmt.Errorf("core: %s/%s cancelled: %w", m.cfg.Name, label, cerr)
-	}
-	if capped {
-		return r, fmt.Errorf("core: %s/%s hit the %d-cycle cap", m.cfg.Name, label, opt.MaxCycles)
-	}
-	return r, nil
+	reps, errs := drive(ctx, []member{mb}, nil, nil)
+	return reps[0], errs[0]
 }
 
 // spanReport copies a run's headline counters onto its span. The simulator
@@ -337,25 +277,15 @@ func AssembleBreakdown(workload string, reports []system.Report) BreakdownResult
 	return res
 }
 
-// Breakdown runs the four-model perfect-ization study on one workload.
-// The four runs are independent and execute on the scheduler.
-func (m *Model) Breakdown(p workload.Profile, opt RunOptions) (BreakdownResult, error) {
-	return m.BreakdownContext(context.Background(), p, opt)
-}
-
-// BreakdownContext is Breakdown with a cancellation point shared by all
-// four scheduled runs.
+// BreakdownContext runs the four-model perfect-ization study on one
+// workload. The four runs are independent jobs (RunJobs) sharing ctx.
 func (m *Model) BreakdownContext(ctx context.Context, p workload.Profile, opt RunOptions) (BreakdownResult, error) {
-	cfgs := BreakdownConfigs(m.cfg)
-	reports, err := sched.MapCtx(ctx, len(cfgs), sched.Options{Workers: opt.Workers},
-		func(ctx context.Context, i int) (system.Report, error) {
-			sub, err := NewModel(cfgs[i])
-			if err != nil {
-				return system.Report{}, err
-			}
-			return sub.RunContext(ctx, p, opt)
-		})
-	if err != nil {
+	var jobs []Job
+	for _, cfg := range BreakdownConfigs(m.cfg) {
+		jobs = append(jobs, Job{Config: cfg, Profile: p, Opt: opt})
+	}
+	reports, errs := RunJobs(ctx, jobs, opt)
+	if err := firstErr(errs); err != nil {
 		return BreakdownResult{Workload: p.Name}, err
 	}
 	return AssembleBreakdown(p.Name, reports), nil
@@ -419,28 +349,23 @@ type Aggregate struct {
 	MeanIPC, StdIPC float64
 }
 
-// RunMany runs the profile over n consecutive seeds starting at opt.Seed.
-// The seeds are independent samples and execute on the scheduler; reports
+// RunManyContext runs the profile over n consecutive seeds starting at
+// opt.Seed. The seeds are independent jobs (RunJobs) sharing ctx; reports
 // stay in seed order regardless of completion order.
-func (m *Model) RunMany(p workload.Profile, opt RunOptions, n int) (Aggregate, error) {
-	return m.RunManyContext(context.Background(), p, opt, n)
-}
-
-// RunManyContext is RunMany with a cancellation point shared by all
-// scheduled seeds.
 func (m *Model) RunManyContext(ctx context.Context, p workload.Profile, opt RunOptions, n int) (Aggregate, error) {
 	if n < 1 {
 		n = 1
 	}
 	opt.defaults()
 	var agg Aggregate
-	reports, err := sched.MapCtx(ctx, n, sched.Options{Workers: opt.Workers},
-		func(ctx context.Context, i int) (system.Report, error) {
-			o := opt
-			o.Seed = opt.Seed + int64(i)
-			return m.RunContext(ctx, p, o)
-		})
-	if err != nil {
+	jobs := make([]Job, n)
+	for i := range jobs {
+		o := opt
+		o.Seed = opt.Seed + int64(i)
+		jobs[i] = Job{Config: m.cfg, Profile: p, Opt: o}
+	}
+	reports, errs := RunJobs(ctx, jobs, opt)
+	if err := firstErr(errs); err != nil {
 		return agg, err
 	}
 	ipcs := make([]float64, 0, n)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sparc64v/internal/config"
+	"sparc64v/internal/system"
 	"sparc64v/internal/trace"
 	"sparc64v/internal/workload"
 )
@@ -31,7 +32,7 @@ func TestNewModelValidates(t *testing.T) {
 
 func TestRunDefaults(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	r, err := m.Run(workload.SPECint95(), testOpt())
+	r, err := m.RunContext(context.Background(), workload.SPECint95(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRunDefaults(t *testing.T) {
 
 func TestRunSourcesMismatch(t *testing.T) {
 	m, _ := NewModel(config.Base().WithCPUs(2))
-	_, err := m.RunSources("x", []trace.Source{workload.New(workload.SPECint95(), 1, 0)}, testOpt())
+	_, err := m.RunSourcesContext(context.Background(), "x", []trace.Source{workload.New(workload.SPECint95(), 1, 0)}, testOpt())
 	if err == nil {
 		t.Fatal("RunSources accepted wrong source count")
 	}
@@ -53,7 +54,7 @@ func TestRunSourcesMismatch(t *testing.T) {
 
 func TestBreakdownSharesSane(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	br, err := m.Breakdown(workload.SPECint95(), testOpt())
+	br, err := m.BreakdownContext(context.Background(), workload.SPECint95(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +78,15 @@ func TestBreakdownSharesSane(t *testing.T) {
 func TestBreakdownWorkloadContrasts(t *testing.T) {
 	m, _ := NewModel(config.Base())
 	opt := RunOptions{Insts: 120_000}
-	tpcc, err := m.Breakdown(workload.TPCC(), opt)
+	tpcc, err := m.BreakdownContext(context.Background(), workload.TPCC(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := m.Breakdown(workload.SPECfp95(), opt)
+	fp, err := m.BreakdownContext(context.Background(), workload.SPECfp95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ints, err := m.Breakdown(workload.SPECint95(), opt)
+	ints, err := m.BreakdownContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestVersionEstimatesTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := m.Run(workload.SPECint2000(), opt)
+		r, err := m.RunContext(context.Background(), workload.SPECint2000(), opt)
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
@@ -167,7 +168,7 @@ func TestVersionEstimatesTrend(t *testing.T) {
 
 func TestRunMany(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	agg, err := m.RunMany(workload.SPECint95(), RunOptions{Insts: 30_000, Seed: 5}, 3)
+	agg, err := m.RunManyContext(context.Background(), workload.SPECint95(), RunOptions{Insts: 30_000, Seed: 5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestRunMany(t *testing.T) {
 		t.Errorf("IPC spread %.4f implausible for mean %.3f", agg.StdIPC, agg.MeanIPC)
 	}
 	// n < 1 clamps.
-	one, err := m.RunMany(workload.SPECint95(), RunOptions{Insts: 20_000}, 0)
+	one, err := m.RunManyContext(context.Background(), workload.SPECint95(), RunOptions{Insts: 20_000}, 0)
 	if err != nil || len(one.Reports) != 1 || one.StdIPC != 0 {
 		t.Fatalf("clamped RunMany: %v %d", err, len(one.Reports))
 	}
@@ -223,19 +224,70 @@ func TestRunManyContextCancelled(t *testing.T) {
 	}
 }
 
-// TestBreakdownContextMatchesBreakdown guards determinism of the ctx
-// variant when the context never fires.
+// TestBreakdownContextMatchesBreakdown guards the study's fan-out: when
+// the context never fires, BreakdownContext must equal the breakdown
+// assembled from the four BreakdownConfigs runs made one by one.
 func TestBreakdownContextMatchesBreakdown(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	a, err := m.Breakdown(workload.SPECint95(), testOpt())
+	p := workload.SPECint95()
+	a, err := m.BreakdownContext(context.Background(), p, testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.BreakdownContext(context.Background(), workload.SPECint95(), testOpt())
-	if err != nil {
-		t.Fatal(err)
+	var reports []system.Report
+	for _, cfg := range BreakdownConfigs(config.Base()) {
+		sub, _ := NewModel(cfg)
+		r, err := sub.RunContext(context.Background(), p, testOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
 	}
-	if a.Breakdown != b.Breakdown {
-		t.Fatalf("Breakdown %+v vs BreakdownContext %+v", a.Breakdown, b.Breakdown)
+	if b := AssembleBreakdown(p.Name, reports); a.Breakdown != b.Breakdown {
+		t.Fatalf("BreakdownContext %+v vs one-by-one %+v", a.Breakdown, b.Breakdown)
+	}
+}
+
+// TestRunSourcesMatchesBareSystem keeps a reference outside the run
+// engine: a full report from RunSourcesContext must be byte-identical to a
+// bare system.New → System.RunContext → System.Report over the same traces,
+// with the run's warm-up applied, on one UP and one 4-CPU machine.
+func TestRunSourcesMatchesBareSystem(t *testing.T) {
+	for _, c := range []struct {
+		cfg config.Config
+		p   workload.Profile
+	}{
+		{config.Base(), workload.SPECint95()},
+		{config.Base().WithCPUs(4), workload.TPCC16P()},
+	} {
+		opt := RunOptions{Insts: 15_000}
+		opt.defaults()
+		traces := func() []trace.Source {
+			var srcs []trace.Source
+			for _, g := range workload.NewMP(c.p, opt.Seed, c.cfg.CPUs) {
+				srcs = append(srcs, trace.NewLimitSource(g, opt.Insts))
+			}
+			return srcs
+		}
+		m, _ := NewModel(c.cfg)
+		got, err := m.RunSourcesContext(context.Background(), c.p.Name, traces(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.cfg
+		cfg.WarmupInsts = opt.Warmup
+		sys, err := system.New(cfg, traces())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, capped, err := sys.RunContext(context.Background(), opt.MaxCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sys.Report(c.p.Name)
+		want.HitCap = capped
+		if reportBytes(t, got) != reportBytes(t, want) {
+			t.Errorf("%d-CPU %s: RunSourcesContext report differs from the bare system run", c.cfg.CPUs, c.p.Name)
+		}
 	}
 }

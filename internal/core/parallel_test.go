@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sparc64v/internal/config"
@@ -17,12 +18,12 @@ func TestRunManyParallelMatchesSerial(t *testing.T) {
 	}
 	const n = 4
 	opt := RunOptions{Insts: 20_000, Workers: 1}
-	serial, err := m.RunMany(workload.SPECint95(), opt, n)
+	serial, err := m.RunManyContext(context.Background(), workload.SPECint95(), opt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = n
-	parallel, err := m.RunMany(workload.SPECint95(), opt, n)
+	parallel, err := m.RunManyContext(context.Background(), workload.SPECint95(), opt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +51,12 @@ func TestBreakdownParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := RunOptions{Insts: 20_000, Workers: 1}
-	serial, err := m.Breakdown(workload.TPCC(), opt)
+	serial, err := m.BreakdownContext(context.Background(), workload.TPCC(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	parallel, err := m.Breakdown(workload.TPCC(), opt)
+	parallel, err := m.BreakdownContext(context.Background(), workload.TPCC(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

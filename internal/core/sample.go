@@ -18,19 +18,17 @@ package core
 // is the ratio estimator Σcycles/Σcommitted over all windows; the
 // per-window CPI spread yields the reported confidence bound.
 //
-// The engine is a stepwise state machine (sampledRun): each step performs
-// one bounded action — a fast-forward chunk on one CPU, or one detailed
-// window. runSampled drives one machine's steps back to back; the lockstep
-// batch driver (batch.go) interleaves steps of N machines against a shared
-// trace ring. Both drivers execute the identical action sequence per
-// machine, so sampled Reports are byte-identical serial vs batched and at
+// A sampled run is a member of the run engine (batch.go): a stepwise state
+// machine whose each step performs one bounded action — a fast-forward
+// chunk on one CPU, or one detailed window. The engine takes a lone run's
+// steps back to back and interleaves a batch's steps against a shared
+// trace ring; either way each machine executes the identical action
+// sequence, so sampled Reports are byte-identical serial vs batched and at
 // any harness worker count, exactly like full runs.
 
 import (
-	"fmt"
-	"math"
-
 	"context"
+	"math"
 
 	"sparc64v/internal/bpred"
 	"sparc64v/internal/cache"
@@ -169,15 +167,10 @@ func (s sysSnap) cpi() float64 {
 	return float64(cyc) / float64(com)
 }
 
-// ffPollStride is how many fast-forwarded records pass between context
-// polls — the functional-mode analogue of system.RunContext's cycle-stride
-// poll.
-const ffPollStride = 8192
-
 // ffChunk bounds one step's fast-forward work (records on one CPU). The
 // chunk keeps a batched member's single step — and therefore its demand on
-// the shared trace ring — bounded; a serial run just takes the chunks back
-// to back.
+// the shared trace ring — bounded, and it is the functional-mode
+// cancellation stride: the engine polls its context between steps.
 const ffChunk = 4096
 
 // sampledRun stages of the state machine. A run cycles
@@ -195,8 +188,8 @@ const (
 
 // sampledRun is one machine's sampled-simulation state: the gated sources,
 // the functional executors, the accumulated measurement snapshots, and the
-// state-machine position. It is advanced by repeated step() calls and
-// closed out by finish().
+// state-machine position. It is an engine member: advanced by repeated
+// step() calls and closed out by finish().
 type sampledRun struct {
 	m     *Model
 	label string
@@ -225,14 +218,14 @@ type sampledRun struct {
 	measuredCycles uint64
 }
 
-// newSampledRun validates the schedule and builds the machine over srcs.
-func newSampledRun(m *Model, label string, srcs []trace.Source, opt RunOptions) (*sampledRun, error) {
+// newSampledRun validates the schedule and builds the machine over srcs;
+// sp is the run's span.
+func newSampledRun(m *Model, label string, srcs []trace.Source, opt RunOptions, sp *obs.Span) (*sampledRun, error) {
 	sc := opt.Sample
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	r := &sampledRun{m: m, label: label, opt: opt, sc: sc}
-	r.sp = opt.Obs.StartSpan("run", label)
+	r := &sampledRun{m: m, label: label, opt: opt, sc: sc, sp: sp}
 	cfg := m.cfg
 	// The per-window detailed warm-up replaces the classic warm-up reset;
 	// a mid-run resetMeasurement would corrupt snapshot deltas.
@@ -292,7 +285,7 @@ func (r *sampledRun) allDry() bool {
 
 // norm advances the state machine past zero-work transitions, so that
 // afterwards either stage == stageDone or the next step() performs real
-// work whose trace demand needRecords() describes. A cap does not stop a
+// work whose trace demand need() describes. A cap does not stop a
 // pending fast-forward region (only windows respect it), matching the
 // classic driver's control flow; a cancellation stops everything.
 func (r *sampledRun) norm() {
@@ -328,12 +321,10 @@ func (r *sampledRun) norm() {
 	}
 }
 
-// needRecords returns which CPU's source the next step reads and the most
-// records it consumes: (cpu, n) for a fast-forward chunk on one CPU, or
-// (-1, n) for a detailed window drawing up to n records from every CPU.
-// The batch driver checks the shared ring can serve that demand before
-// stepping; a serial run never asks.
-func (r *sampledRun) needRecords() (int, int) {
+// need returns which CPU's source the next step reads and the most records
+// it consumes: (cpu, n) for a fast-forward chunk on one CPU, or (-1, n) for
+// a detailed window drawing up to n records from every CPU.
+func (r *sampledRun) need() (int, int) {
 	switch r.stage {
 	case stageFF:
 		n := r.ffLeft
@@ -349,16 +340,16 @@ func (r *sampledRun) needRecords() (int, int) {
 	return -1, 0
 }
 
-// step performs the run's next bounded action: one fast-forward chunk on
-// one CPU, or one detailed window. Callers loop until stage == stageDone.
-func (r *sampledRun) step(ctx context.Context) {
+// step performs the run's next bounded action — one fast-forward chunk on
+// one CPU, or one detailed window — and reports whether the run is over.
+func (r *sampledRun) step(ctx context.Context) bool {
 	switch r.stage {
 	case stageFF:
 		n := r.ffLeft
 		if n > ffChunk {
 			n = ffChunk
 		}
-		r.fastForwardOne(ctx, r.ffCPU, n)
+		r.fastForwardOne(r.ffCPU, n)
 		r.ffLeft -= n
 	case stageWarm:
 		r.runWindow(ctx, r.sc.WarmupInsts)
@@ -376,19 +367,11 @@ func (r *sampledRun) step(ctx context.Context) {
 		r.setFF(r.ffGap)
 	}
 	r.norm()
-}
-
-// cancel aborts the run with err (the batch driver's external cancellation
-// path; a serial run surfaces cancellation through step's ctx instead).
-func (r *sampledRun) cancel(err error) {
-	if r.simErr == nil {
-		r.simErr = err
-	}
-	r.stage = stageDone
+	return r.stage == stageDone
 }
 
 // fastForwardOne advances CPU i by up to n records functionally.
-func (r *sampledRun) fastForwardOne(ctx context.Context, i, n int) {
+func (r *sampledRun) fastForwardOne(i, n int) {
 	if n <= 0 || r.simErr != nil {
 		return
 	}
@@ -398,17 +381,8 @@ func (r *sampledRun) fastForwardOne(ctx context.Context, i, n int) {
 	}
 	end := r.sp.Phase(obs.PhaseFastForward)
 	defer end()
-	done := ctx.Done()
 	var rec trace.Record
 	for k := 0; k < n; k++ {
-		if done != nil && k%ffPollStride == 0 {
-			select {
-			case <-done:
-				r.simErr = ctx.Err()
-				return
-			default:
-			}
-		}
 		if !g.src.Next(&rec) {
 			g.dry = true
 			return
@@ -449,9 +423,13 @@ func (r *sampledRun) runWindow(ctx context.Context, n int) {
 
 // finish assembles the Report: the accumulated window deltas become the
 // counter blocks, and Sampling carries the schedule, mode split and error
-// model. Call exactly once, after stage reaches stageDone.
-func (r *sampledRun) finish() (system.Report, error) {
-	sc, opt := r.sc, r.opt
+// model. Call exactly once: after stage reaches stageDone, or with the
+// cancellation error cerr.
+func (r *sampledRun) finish(cerr error) (system.Report, error) {
+	if r.simErr == nil {
+		r.simErr = cerr
+	}
+	sc := r.sc
 	ncpu := r.ncpu
 
 	// Degenerate schedules (trace shorter than one warm-up window, window
@@ -522,22 +500,13 @@ func (r *sampledRun) finish() (system.Report, error) {
 	}
 	rep.Sampling = info
 
-	meterInstrs.Add(detInsts)
-	meterCycles.Add(r.sys.Cycle())
-	meterRuns.Add(1)
+	meter(detInsts, r.sys.Cycle())
 	endReport()
 	spanReport(r.sp, rep)
 	r.sp.Add("ff_insts", int64(ffInsts))
 	r.sp.Add("sample_windows", int64(len(r.windows)))
 	r.sp.Finish()
-
-	if r.simErr != nil {
-		return rep, fmt.Errorf("core: %s/%s cancelled: %w", r.m.cfg.Name, r.label, r.simErr)
-	}
-	if r.capped {
-		return rep, fmt.Errorf("core: %s/%s hit the %d-cycle cap", r.m.cfg.Name, r.label, opt.MaxCycles)
-	}
-	return rep, nil
+	return rep, r.m.runErr(r.label, r.opt, r.simErr, r.capped)
 }
 
 // sanitizeSampling clamps the error-model fields to finite values.
@@ -556,19 +525,4 @@ func sanitizeSampling(info *system.SamplingInfo) {
 	if info.Windows <= 1 || math.IsNaN(info.CPIHalf95) || math.IsInf(info.CPIHalf95, 0) {
 		info.CPIHalf95 = 0
 	}
-}
-
-// runSampled is the sampled-simulation driver behind RunSourcesContext
-// (opt.Sample enabled). It returns a Report whose counter blocks cover the
-// measurement windows and whose Sampling field carries the schedule, mode
-// split and error model.
-func (m *Model) runSampled(ctx context.Context, label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
-	r, err := newSampledRun(m, label, srcs, opt)
-	if err != nil {
-		return system.Report{}, err
-	}
-	for r.stage != stageDone {
-		r.step(ctx)
-	}
-	return r.finish()
 }

@@ -15,13 +15,13 @@ import (
 // workloads across a config neighborhood (each workload forms one BatchKey
 // group), plus one multiprocessor job with scaled options (its own group),
 // plus a duplicated point (same key twice — the runcache dedup case).
-func batchTestJobs(opt core.RunOptions) []job {
+func batchTestJobs(opt core.RunOptions) []core.Job {
 	base := config.Base()
 	cfgs := []config.Config{base, base.WithIssueWidth(2), base.WithSmallBHT(), base.WithoutPrefetch()}
 	profiles := []workload.Profile{workload.SPECint95(), workload.SPECfp95(), workload.TPCC()}
 	jobs := crossJobs(profiles, cfgs, opt)
-	jobs = append(jobs, job{cfg: base.WithCPUs(2), p: workload.TPCC16P(), opt: mpOpt(opt)})
-	jobs = append(jobs, job{cfg: base, p: workload.SPECint95(), opt: opt}) // duplicate point
+	jobs = append(jobs, core.Job{Config: base.WithCPUs(2), Profile: workload.TPCC16P(), Opt: mpOpt(opt)})
+	jobs = append(jobs, core.Job{Config: base, Profile: workload.SPECint95(), Opt: opt}) // duplicate point
 	return jobs
 }
 

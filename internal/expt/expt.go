@@ -6,8 +6,9 @@
 //
 // Every study is a set of independent (configuration, workload)
 // simulations — exactly how the paper's team ran them — so each harness
-// submits its runs to the sched worker pool and assembles tables from the
-// deterministically ordered results. All itself runs whole studies
+// submits its runs to core.RunJobs (the sched worker pool, batched by
+// core.RunOptions.Batch) and assembles tables from the deterministically
+// ordered results. All itself runs whole studies
 // concurrently on top of that. Workers = 1 (core.RunOptions.Workers)
 // degenerates to the historical serial sweep with identical output.
 package expt
@@ -59,129 +60,28 @@ func (r *Result) String() string {
 	return s
 }
 
-// MeterReset zeroes the simulation throughput meter. The meter itself
-// lives in core (it counts every simulation actually executed in this
-// process, and only those — cache-served results don't inflate it); these
-// wrappers keep the historical expt API for callers like cmd/sweep.
-func MeterReset() { core.MeterReset() }
-
-// Meter returns committed instructions and simulation runs accumulated
-// since the last reset.
-func Meter() (instrs, runs uint64) {
-	instrs, _, runs = core.Meter()
-	return instrs, runs
-}
-
-// run executes one workload on one configuration.
-func run(ctx context.Context, cfg config.Config, p workload.Profile, opt core.RunOptions) (system.Report, error) {
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		return system.Report{}, err
-	}
-	return m.RunContext(ctx, p, opt)
-}
-
-// job is one independent simulation of a study.
-type job struct {
-	cfg config.Config
-	p   workload.Profile
-	opt core.RunOptions
-}
-
-// runJobs executes a study's simulations on the scheduler and returns the
-// reports in submission order. With opt.Batch > 1 the jobs are first grouped
-// by core.BatchKey — everything that pins the decoded trace stream — and
-// each group of up to opt.Batch members becomes one core.RunBatch lockstep
-// unit that streams the trace once. Results scatter back to submission
-// order and the returned error is still the lowest-submission-index job
-// error, so batching changes neither the reports' bytes nor the error a
-// caller observes (pinned by TestRunJobsBatchedMatchesSerial).
-func runJobs(ctx context.Context, jobs []job, opt core.RunOptions) ([]system.Report, error) {
-	if opt.Batch > 1 {
-		return runJobsBatched(ctx, jobs, opt)
-	}
-	return sched.MapCtx(ctx, len(jobs), sched.Options{Workers: opt.Workers},
-		func(ctx context.Context, i int) (system.Report, error) {
-			return run(ctx, jobs[i].cfg, jobs[i].p, jobs[i].opt)
-		})
-}
-
-// runJobsBatched is runJobs' batching path: group by BatchKey in submission
-// order, chunk each group to at most opt.Batch members, run chunks on the
-// scheduler (singleton chunks take the ordinary serial path), and scatter
-// the per-member results back to submission order.
-func runJobsBatched(ctx context.Context, jobs []job, opt core.RunOptions) ([]system.Report, error) {
-	groups := make(map[string][]int)
-	var order []string
-	for i, j := range jobs {
-		key, err := core.BatchKey(j.cfg, j.p, j.opt)
+// runJobs executes a study's simulations through core.RunJobs (scheduled
+// opt.Workers wide, batched by opt.Batch) and returns the reports in
+// submission order with the lowest-index job error, so neither workers nor
+// batching change the bytes or the error a caller observes (pinned by
+// TestRunJobsBatchedMatchesSerial).
+func runJobs(ctx context.Context, jobs []core.Job, opt core.RunOptions) ([]system.Report, error) {
+	reps, errs := core.RunJobs(ctx, jobs, opt)
+	for _, err := range errs {
 		if err != nil {
-			// Unkeyable jobs (unhashable profile) run alone; the serial path
-			// surfaces the underlying error with its usual context.
-			key = fmt.Sprintf("\x00unkeyed\x00%d", i)
-		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	var chunks [][]int
-	for _, key := range order {
-		idx := groups[key]
-		for len(idx) > opt.Batch {
-			chunks = append(chunks, idx[:opt.Batch])
-			idx = idx[opt.Batch:]
-		}
-		chunks = append(chunks, idx)
-	}
-
-	out := make([]system.Report, len(jobs))
-	jobErrs := make([]error, len(jobs))
-	_, chunkErrs := sched.MapAllCtx(ctx, len(chunks), sched.Options{Workers: opt.Workers},
-		func(ctx context.Context, ci int) (struct{}, error) {
-			idx := chunks[ci]
-			if len(idx) == 1 {
-				i := idx[0]
-				out[i], jobErrs[i] = run(ctx, jobs[i].cfg, jobs[i].p, jobs[i].opt)
-				return struct{}{}, nil
-			}
-			cfgs := make([]config.Config, len(idx))
-			for n, i := range idx {
-				cfgs[n] = jobs[i].cfg
-			}
-			first := jobs[idx[0]]
-			reps, errs := core.RunBatch(ctx, cfgs, first.p, first.opt)
-			for n, i := range idx {
-				out[i], jobErrs[i] = reps[n], errs[n]
-			}
-			return struct{}{}, nil
-		})
-	for ci, err := range chunkErrs {
-		if err == nil {
-			continue
-		}
-		// A chunk skipped after cancellation never wrote its members.
-		for _, i := range chunks[ci] {
-			if jobErrs[i] == nil {
-				jobErrs[i] = err
-			}
+			return reps, err
 		}
 	}
-	for _, err := range jobErrs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return reps, nil
 }
 
 // crossJobs builds the full (profile x config) product with one options
 // value, profiles outermost — the iteration order every study table uses.
-func crossJobs(profiles []workload.Profile, cfgs []config.Config, opt core.RunOptions) []job {
-	jobs := make([]job, 0, len(profiles)*len(cfgs))
+func crossJobs(profiles []workload.Profile, cfgs []config.Config, opt core.RunOptions) []core.Job {
+	jobs := make([]core.Job, 0, len(profiles)*len(cfgs))
 	for _, p := range profiles {
 		for _, cfg := range cfgs {
-			jobs = append(jobs, job{cfg: cfg, p: p, opt: opt})
+			jobs = append(jobs, core.Job{Config: cfg, Profile: p, Opt: opt})
 		}
 	}
 	return jobs
@@ -405,7 +305,7 @@ func Fig14and15Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	p16 := workload.TPCC16P()
 	o16 := mpOpt(opt)
 	for _, cfg := range configs {
-		jobs = append(jobs, job{cfg: cfg.WithCPUs(16), p: p16, opt: o16})
+		jobs = append(jobs, core.Job{Config: cfg.WithCPUs(16), Profile: p16, Opt: o16})
 	}
 	reports, err := runJobs(ctx, jobs, opt)
 	if err != nil {
@@ -494,7 +394,7 @@ func Fig18Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 // Fig19 reproduces the model-accuracy study: version estimates relative
 // to the final model, and errors against the physical-machine proxy.
 // The two workloads' fidelity ladders run concurrently; each ladder's nine
-// simulations are themselves scheduled (verif.RunAccuracyStudy).
+// simulations are themselves scheduled (verif.RunAccuracyStudyContext).
 func Fig19(opt core.RunOptions) (Result, error) {
 	return Fig19Ctx(context.Background(), opt)
 }
@@ -680,13 +580,13 @@ func HPCStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 		{"no speculative dispatch", func(c *config.Config) { c.CPU.SpeculativeDispatch = false }},
 		{"no data forwarding", func(c *config.Config) { c.CPU.DataForwarding = false }},
 	}
-	jobs := make([]job, len(variants))
+	jobs := make([]core.Job, len(variants))
 	for i, v := range variants {
 		cfg := config.Base()
 		if v.mutate != nil {
 			v.mutate(&cfg)
 		}
-		jobs[i] = job{cfg: cfg, p: kernel, opt: opt}
+		jobs[i] = core.Job{Config: cfg, Profile: kernel, Opt: opt}
 	}
 	reports, err := runJobs(ctx, jobs, opt)
 	if err != nil {
@@ -739,10 +639,10 @@ func SampledStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	sampOpt := opt
 	sampOpt.Sample = sc
 	profiles := workload.UPProfiles()
-	jobs := make([]job, 0, 2*len(profiles))
+	jobs := make([]core.Job, 0, 2*len(profiles))
 	for _, p := range profiles {
-		jobs = append(jobs, job{cfg: config.Base(), p: p, opt: opt},
-			job{cfg: config.Base(), p: p, opt: sampOpt})
+		jobs = append(jobs, core.Job{Config: config.Base(), Profile: p, Opt: opt},
+			core.Job{Config: config.Base(), Profile: p, Opt: sampOpt})
 	}
 	reports, err := runJobs(ctx, jobs, opt)
 	if err != nil {

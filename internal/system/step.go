@@ -1,38 +1,28 @@
 package system
 
-// Lockstep stepping. A batched sweep (internal/core RunBatch) advances N
-// independent machines against one shared trace stream; it needs to tick
-// each machine a bounded number of cycles per round instead of running it
-// to completion. Step is RunContext's loop body factored out with exactly
-// the same termination semantics, so a machine driven by repeated Step
-// calls evolves byte-identically to one driven by a single RunContext call
-// (pinned by TestStepMatchesRunContext).
+// The cycle loop. Step is the package's only loop over global cycles: it
+// ticks the machine a bounded number of cycles, and RunContext is Step
+// calls with a context poll between them. The run engine in internal/core
+// drives machines through Step directly — PollStride cycles at a time for
+// a lone run, fewer per lockstep round for a batch member — so however a
+// machine is driven, it evolves through the same loop body, and a machine
+// stepped in any chunking lands on the same state (pinned by
+// TestStepMatchesRunContext).
 
-// Instance is the narrow view of a machine the lockstep batch driver
-// drives. All per-configuration mutable state — pipeline slabs, cache
-// arrays, predictor tables, coherence state — lives behind this interface
-// in the System (and its CPUs), so the driver holds N opaque instances plus
-// the shared trace ring and nothing else.
-type Instance interface {
-	// Step advances up to n cycles; see System.Step.
-	Step(n int, maxCycles uint64) (done, capped bool)
-	// Done reports whether every CPU has drained.
-	Done() bool
-	// Cycle returns the current global cycle.
-	Cycle() uint64
-	// SourceReadBound returns the most trace records CPU i can consume in
-	// one cycle.
-	SourceReadBound(i int) int
-}
+import "context"
 
-var _ Instance = (*System)(nil)
+// PollStride is the cancellation granularity in global cycles: RunContext,
+// and the core run engine for a lone run, poll their context once per
+// PollStride cycles. 4K cycles is coarse enough that the check never shows
+// up in the hot-loop profile, yet a mid-run cancellation still lands within
+// microseconds of wall time.
+const PollStride = 4096
 
 // Step advances the machine by at most n cycles, stopping early when every
 // CPU drains or the cycle cap is reached. It returns done (machine drained)
 // and capped (cycle cap hit); both false means the machine simply used its
 // n cycles and wants more. The cap is checked before the drain test each
-// cycle, matching RunContext, so a machine that drains exactly at the cap
-// reports capped — the two drivers classify every run identically.
+// cycle, so a machine that drains exactly at the cap reports capped.
 func (s *System) Step(n int, maxCycles uint64) (done, capped bool) {
 	if maxCycles == 0 {
 		maxCycles = 1 << 62
@@ -55,5 +45,27 @@ func (s *System) Step(n int, maxCycles uint64) (done, capped bool) {
 	return s.Done(), false
 }
 
-// SourceReadBound implements Instance for CPU i.
+// RunContext advances the machine until every CPU drains or maxCycles
+// elapse, polling ctx every PollStride cycles. It returns the current cycle,
+// whether the run hit the cycle cap, and ctx.Err() if the context was done
+// first. The machine state stays consistent on early return — Report still
+// snapshots whatever was simulated up to the cancellation cycle.
+func (s *System) RunContext(ctx context.Context, maxCycles uint64) (uint64, bool, error) {
+	done := ctx.Done()
+	for {
+		if done != nil {
+			select {
+			case <-done:
+				return s.cycle, false, ctx.Err()
+			default:
+			}
+		}
+		if drained, capped := s.Step(PollStride, maxCycles); drained || capped {
+			return s.cycle, capped, nil
+		}
+	}
+}
+
+// SourceReadBound returns the most trace records CPU i can consume in one
+// cycle.
 func (s *System) SourceReadBound(i int) int { return s.cpus[i].SourceReadBound() }

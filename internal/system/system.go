@@ -6,7 +6,6 @@
 package system
 
 import (
-	"context"
 	"fmt"
 
 	"sparc64v/internal/bpred"
@@ -60,47 +59,6 @@ func (s *System) Done() bool {
 		}
 	}
 	return true
-}
-
-// Run advances the machine until every CPU drains or maxCycles elapse.
-// It returns the cycles simulated and whether the run hit the cycle cap.
-func (s *System) Run(maxCycles uint64) (uint64, bool) {
-	cycles, capped, _ := s.RunContext(context.Background(), maxCycles)
-	return cycles, capped
-}
-
-// ctxPollStride is how often (in global cycles) RunContext polls its
-// context. 4K cycles is coarse enough that the check never shows up in the
-// hot-loop profile, yet a mid-run cancellation still lands within
-// microseconds of wall time.
-const ctxPollStride = 4096
-
-// RunContext is Run with a cancellation point: the loop polls ctx every
-// ctxPollStride global cycles and stops with ctx.Err() once the context is
-// done. The machine state stays consistent on early return — Report still
-// snapshots whatever was simulated up to the cancellation cycle.
-func (s *System) RunContext(ctx context.Context, maxCycles uint64) (uint64, bool, error) {
-	if maxCycles == 0 {
-		maxCycles = 1 << 62
-	}
-	done := ctx.Done()
-	for s.cycle < maxCycles {
-		if done != nil && s.cycle&(ctxPollStride-1) == 0 {
-			select {
-			case <-done:
-				return s.cycle, false, ctx.Err()
-			default:
-			}
-		}
-		if s.Done() {
-			return s.cycle, false, nil
-		}
-		for _, c := range s.cpus {
-			c.Tick(s.cycle)
-		}
-		s.cycle++
-	}
-	return s.cycle, true, nil
 }
 
 // Cycle returns the current global cycle.

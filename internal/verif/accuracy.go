@@ -92,101 +92,40 @@ func PhysicalMachineProxy(cfg config.Config) config.Config {
 	return m
 }
 
-// RunAccuracyStudy runs every model version and the machine proxy on the
-// workload and assembles the Figure 19 series. The machine proxy and the
-// eight versions are independent simulations and execute on the scheduler.
-func RunAccuracyStudy(base config.Config, p workload.Profile, opt core.RunOptions) (AccuracyStudy, error) {
-	return RunAccuracyStudyContext(context.Background(), base, p, opt)
-}
-
-// RunAccuracyStudyContext is RunAccuracyStudy with a cancellation point
-// shared by the ladder's scheduled simulations. With opt.Batch > 1 the
-// ladder's rungs — nine configurations of the same trace — run as lockstep
-// batches of up to opt.Batch members sharing one decoded stream; reports
-// (and therefore the study's numbers) are byte-identical either way.
+// RunAccuracyStudyContext runs every model version and the machine proxy on
+// the workload and assembles the Figure 19 series. The machine proxy and
+// the eight versions are independent jobs (core.RunJobs) sharing ctx; with
+// opt.Batch > 1 the ladder's rungs — nine configurations of the same trace
+// — run as lockstep batches sharing one decoded stream, and the study's
+// numbers are byte-identical either way.
 func RunAccuracyStudyContext(ctx context.Context, base config.Config, p workload.Profile, opt core.RunOptions) (AccuracyStudy, error) {
 	study := AccuracyStudy{Workload: p.Name}
 	versions := core.Versions()
-	cfgs := []config.Config{PhysicalMachineProxy(base)}
+	jobs := []core.Job{{Config: PhysicalMachineProxy(base), Profile: p, Opt: opt}}
 	for _, v := range versions {
-		cfgs = append(cfgs, v.Apply(base))
+		jobs = append(jobs, core.Job{Config: v.Apply(base), Profile: p, Opt: opt})
 	}
-	// wrap restores the serial path's error labeling: rung i > 0 is model
-	// version i-1, rung 0 the machine proxy.
-	wrap := func(i int, err error) error {
+	reps, errs := core.RunJobs(ctx, jobs, opt)
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		// Rung i > 0 is model version i-1, rung 0 the machine proxy.
 		if i > 0 {
-			return fmt.Errorf("%s: %w", versions[i-1].Name, err)
+			err = fmt.Errorf("%s: %w", versions[i-1].Name, err)
 		}
-		return err
-	}
-	var all []float64
-	var err error
-	if opt.Batch > 1 {
-		all = make([]float64, len(cfgs))
-		var chunks [][2]int
-		for lo := 0; lo < len(cfgs); lo += opt.Batch {
-			hi := lo + opt.Batch
-			if hi > len(cfgs) {
-				hi = len(cfgs)
-			}
-			chunks = append(chunks, [2]int{lo, hi})
-		}
-		cfgErrs := make([]error, len(cfgs))
-		_, chunkErrs := sched.MapAllCtx(ctx, len(chunks), sched.Options{Workers: opt.Workers},
-			func(ctx context.Context, ci int) (struct{}, error) {
-				lo, hi := chunks[ci][0], chunks[ci][1]
-				reps, errs := core.RunBatch(ctx, cfgs[lo:hi], p, opt)
-				for j := range reps {
-					if errs[j] != nil {
-						cfgErrs[lo+j] = errs[j]
-						continue
-					}
-					all[lo+j] = reps[j].IPC()
-				}
-				return struct{}{}, nil
-			})
-		for ci, cerr := range chunkErrs {
-			if cerr == nil {
-				continue
-			}
-			for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
-				if cfgErrs[i] == nil {
-					cfgErrs[i] = cerr
-				}
-			}
-		}
-		for i, cerr := range cfgErrs {
-			if cerr != nil {
-				return study, wrap(i, cerr)
-			}
-		}
-	} else {
-		all, err = sched.MapCtx(ctx, len(cfgs), sched.Options{Workers: opt.Workers},
-			func(ctx context.Context, i int) (float64, error) {
-				m, merr := core.NewModel(cfgs[i])
-				if merr != nil {
-					return 0, merr
-				}
-				r, rerr := m.RunContext(ctx, p, opt)
-				if rerr != nil {
-					return 0, wrap(i, rerr)
-				}
-				return r.IPC(), nil
-			})
-	}
-	if err != nil {
 		return study, err
 	}
-	study.MachineIPC = all[0]
-	ipcs := all[1:]
-	final := ipcs[len(ipcs)-1]
+	study.MachineIPC = reps[0].IPC()
+	final := reps[len(reps)-1].IPC()
 	for i, v := range versions {
+		ipc := reps[i+1].IPC()
 		study.Points = append(study.Points, VersionPoint{
 			Name:           v.Name,
 			Detail:         v.Detail,
-			IPC:            ipcs[i],
-			RatioToFinal:   ipcs[i] / final,
-			ErrorVsMachine: stats.PercentDelta(ipcs[i], study.MachineIPC) / 100,
+			IPC:            ipc,
+			RatioToFinal:   ipc / final,
+			ErrorVsMachine: stats.PercentDelta(ipc, study.MachineIPC) / 100,
 		})
 	}
 	return study, nil
@@ -216,14 +155,8 @@ func (t *TrendCheck) Agree() bool {
 	return (a > 0) == (b > 0)
 }
 
-// RunTrendCheck evaluates base vs variant on both models.
-func RunTrendCheck(change string, base, variant config.Config, p workload.Profile,
-	opt core.RunOptions) (TrendCheck, error) {
-	return RunTrendCheckContext(context.Background(), change, base, variant, p, opt)
-}
-
-// RunTrendCheckContext is RunTrendCheck with a cancellation point shared
-// by the four scheduled simulations.
+// RunTrendCheckContext evaluates base vs variant on both models: four
+// scheduled simulations sharing ctx.
 func RunTrendCheckContext(ctx context.Context, change string, base, variant config.Config,
 	p workload.Profile, opt core.RunOptions) (TrendCheck, error) {
 	tc := TrendCheck{Change: change}

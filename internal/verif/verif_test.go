@@ -125,11 +125,11 @@ func TestModelTimingMatchesReplay(t *testing.T) {
 	}
 	m, _ := core.NewModel(config.Base())
 	opt := core.RunOptions{Insts: len(recs), Warmup: 1}
-	r1, err := m.RunSources("orig", []trace.Source{trace.NewSliceSource(recs)}, opt)
+	r1, err := m.RunSourcesContext(context.Background(), "orig", []trace.Source{trace.NewSliceSource(recs)}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.RunSources("replay", []trace.Source{prog.Replay()}, opt)
+	r2, err := m.RunSourcesContext(context.Background(), "replay", []trace.Source{prog.Replay()}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTrendAgreement(t *testing.T) {
 		{"off-chip direct-mapped L2", base.WithOffChipL2(1)},
 	}
 	for _, c := range cases {
-		tc, err := RunTrendCheck(c.name, base, c.variant, workload.TPCC(), opt)
+		tc, err := RunTrendCheckContext(context.Background(), c.name, base, c.variant, workload.TPCC(), opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -176,7 +176,7 @@ func TestTrendAgreement(t *testing.T) {
 }
 
 func TestAccuracyStudy(t *testing.T) {
-	study, err := RunAccuracyStudy(config.Base(), workload.SPECint2000(),
+	study, err := RunAccuracyStudyContext(context.Background(), config.Base(), workload.SPECint2000(),
 		core.RunOptions{Insts: 60_000})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestAccuracyStudy(t *testing.T) {
 // across several batches.
 func TestAccuracyStudyBatchedMatchesSerial(t *testing.T) {
 	opt := core.RunOptions{Insts: 40_000, Workers: 1}
-	want, err := RunAccuracyStudy(config.Base(), workload.SPECint2000(), opt)
+	want, err := RunAccuracyStudyContext(context.Background(), config.Base(), workload.SPECint2000(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestAccuracyStudyBatchedMatchesSerial(t *testing.T) {
 		bo := opt
 		bo.Batch = batch
 		bo.Workers = 2
-		got, err := RunAccuracyStudy(config.Base(), workload.SPECint2000(), bo)
+		got, err := RunAccuracyStudyContext(context.Background(), config.Base(), workload.SPECint2000(), bo)
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}

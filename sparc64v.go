@@ -9,7 +9,7 @@
 // downstream user needs is re-exported here:
 //
 //	model, _ := sparc64v.NewModel(sparc64v.BaseConfig())
-//	report, _ := model.Run(sparc64v.TPCC(), sparc64v.RunOptions{Insts: 500_000})
+//	report, _ := model.RunContext(ctx, sparc64v.TPCC(), sparc64v.RunOptions{Insts: 500_000})
 //	fmt.Println(report.IPC(), report.L2DemandMissRate())
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -116,10 +116,7 @@ var (
 	AllExperimentsContext = expt.AllContext
 )
 
-// RunAccuracyStudy runs the Figure 19 methodology for one workload.
-var RunAccuracyStudy = verif.RunAccuracyStudy
-
-// RunAccuracyStudyContext is RunAccuracyStudy with a cancellation point.
+// RunAccuracyStudyContext runs the Figure 19 methodology for one workload.
 var RunAccuracyStudyContext = verif.RunAccuracyStudyContext
 
 // ReverseTrace converts a trace into an exactly replayable test program

@@ -1,6 +1,7 @@
 package sparc64v
 
 import (
+	"context"
 	"testing"
 
 	"sparc64v/internal/trace"
@@ -12,7 +13,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := model.Run(TPCC(), RunOptions{Insts: 40_000})
+	report, err := model.RunContext(context.Background(), TPCC(), RunOptions{Insts: 40_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestPublicReverseTracer(t *testing.T) {
 
 func TestPublicBreakdown(t *testing.T) {
 	model, _ := NewModel(BaseConfig())
-	br, err := model.Breakdown(SPECint95(), RunOptions{Insts: 30_000})
+	br, err := model.BreakdownContext(context.Background(), SPECint95(), RunOptions{Insts: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
