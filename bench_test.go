@@ -57,66 +57,49 @@ func BenchmarkFig07Breakdown(b *testing.B) {
 }
 
 func BenchmarkFig08IssueWidth(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig08(benchOpt()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "Figure 8")
 }
 
 func BenchmarkFig09BHT(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig09and10(benchOpt()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "Figures 9-10")
 }
 
 func BenchmarkFig11L1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := Fig11to13(benchOpt()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "Figures 11-13")
 }
 
 func BenchmarkFig14L2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig14and15(benchOpt()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "Figures 14-15")
 }
 
 func BenchmarkFig16Prefetch(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig16and17(benchOpt()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "Figures 16-17")
 }
 
 func BenchmarkFig18RS(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig18(benchOpt()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "Figure 18")
 }
 
 func BenchmarkFig19Accuracy(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig19(benchOpt()); err != nil {
-			b.Fatal(err)
+	benchExperiment(b, "Figure 19")
+}
+
+// benchExperiment runs the named study of Experiments() once per iteration.
+func benchExperiment(b *testing.B, name string) {
+	b.Helper()
+	for _, e := range Experiments() {
+		if e.Name != name {
+			continue
 		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Run(context.Background(), benchOpt()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return
 	}
+	b.Fatalf("no experiment %q", name)
 }
 
 // Ablation benches for the design choices DESIGN.md calls out.
@@ -213,8 +196,8 @@ func BenchmarkSchedulerSweep(b *testing.B) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := sched.Map(len(profiles), sched.Options{Workers: opt.Workers},
-			func(j int) (system.Report, error) { return m.RunContext(context.Background(), profiles[j], opt) })
+		reports, err := sched.MapCtx(context.Background(), len(profiles), sched.Options{Workers: opt.Workers},
+			func(ctx context.Context, j int) (system.Report, error) { return m.RunContext(ctx, profiles[j], opt) })
 		if err != nil {
 			b.Fatal(err)
 		}

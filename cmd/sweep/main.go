@@ -88,10 +88,14 @@ func main() {
 		}
 		opt.Cache = cache
 	}
-	core.MeterReset()
+	// The simulation meter is process-wide; the sweep reports its delta.
+	simInstrs := obs.Default().Counter("sparc64v_simulated_instructions_total", "")
+	simRuns := obs.Default().Counter("sparc64v_simulated_runs_total", "")
+	instrs0, runs0 := simInstrs.Value(), simRuns.Value()
 	t0 := time.Now()
 	results, err := expt.AllContext(ctx, opt)
 	wall := time.Since(t0)
+	instrs, runs := simInstrs.Value()-instrs0, simRuns.Value()-runs0
 	// Completed studies render even when the sweep was cut short; the
 	// missing ones carry "(incomplete)" markers from AllContext.
 	if *markdown {
@@ -124,7 +128,7 @@ func main() {
 			fmt.Println(r.String())
 		}
 	}
-	summarize(results, wall, sched.Workers(opt.Workers), cache)
+	summarize(results, wall, sched.Workers(opt.Workers), cache, instrs, runs)
 	if *profile != "" {
 		if werr := opt.Obs.WriteProfileFile(*profile); werr != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", werr)
@@ -146,8 +150,9 @@ func main() {
 }
 
 // summarize prints the per-study wall times and the sweep's effective
-// simulated-instruction throughput to stderr.
-func summarize(results []expt.Result, wall time.Duration, workers int, cache *runcache.Cache) {
+// simulated-instruction throughput to stderr; instrs and runs are what the
+// sweep itself simulated.
+func summarize(results []expt.Result, wall time.Duration, workers int, cache *runcache.Cache, instrs, runs uint64) {
 	fmt.Fprintf(os.Stderr, "sweep: study wall times (%d workers, studies overlap):\n", workers)
 	for _, r := range results {
 		if r.Elapsed <= 0 {
@@ -156,7 +161,6 @@ func summarize(results []expt.Result, wall time.Duration, workers int, cache *ru
 		fmt.Fprintf(os.Stderr, "  %-12s %-40s %10s\n", r.ID, r.Title,
 			r.Elapsed.Round(time.Millisecond))
 	}
-	instrs, _, runs := core.Meter()
 	fmt.Fprintf(os.Stderr,
 		"sweep: done in %s: %d runs, %.1fM instrs simulated, %.0f effective sim-instrs/s\n",
 		wall.Round(time.Millisecond), runs, float64(instrs)/1e6,

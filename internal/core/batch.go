@@ -59,6 +59,26 @@ const batchStride = 256
 // drift allowance for fast members. 8K records ≈ 320 KiB per stream.
 const batchRingDepth = 8192
 
+// Simulation meter: committed instructions, cycles and runs actually
+// simulated in this process (cache-served results do not count; a sampled
+// run counts its detailed instructions and cycles). cmd/sweep reports
+// effective sim-instrs/s from the deltas; simd exposes them on /metrics.
+var (
+	simInstrs = obs.Default().Counter("sparc64v_simulated_instructions_total",
+		"Instructions committed by simulations in this process.")
+	simCycles = obs.Default().Counter("sparc64v_simulated_cycles_total",
+		"Cycles simulated in this process.")
+	simRuns = obs.Default().Counter("sparc64v_simulated_runs_total",
+		"Simulations completed in this process.")
+)
+
+// meter counts one finished simulation.
+func meter(instrs, cycles uint64) {
+	simInstrs.Add(instrs)
+	simCycles.Add(cycles)
+	simRuns.Inc()
+}
+
 // Batch metrics (process-wide registry, the runcache/sched idiom). They
 // count lockstep batches of two or more members only. batchOccupancy is a
 // live gauge — members enter at batch start and leave one by one as they

@@ -223,7 +223,7 @@ func TestRunBatchCacheSkip(t *testing.T) {
 	}
 
 	// Second identical batch: every member served from cache, nothing runs.
-	_, runs0 := func() (uint64, uint64) { _, _, r := Meter(); return 0, r }()
+	runs0 := simRuns.Value()
 	reps2, errs2 := RunBatch(context.Background(), cfgs, p, opt)
 	for i := range cfgs {
 		if errs2[i] != nil {
@@ -237,9 +237,55 @@ func TestRunBatchCacheSkip(t *testing.T) {
 	if hits := s2.Hits() - s1.Hits(); hits != 4 {
 		t.Errorf("second batch took %d cache hits, want 4", hits)
 	}
-	_, _, runs1 := Meter()
-	if runs1 != runs0 && s2.Misses != s1.Misses {
-		t.Errorf("second batch simulated: misses %d -> %d", s1.Misses, s2.Misses)
+	if runs := simRuns.Value() - runs0; runs != 0 {
+		t.Errorf("all-hit batch simulated %d runs (misses %d -> %d)", runs, s1.Misses, s2.Misses)
+	}
+}
+
+// TestSimulatedCounters pins the process-wide simulation meter: a full-run
+// miss advances sparc64v_simulated_{instructions,cycles,runs}_total by
+// exactly its Committed/Cycles/1, a sampled miss counts only its detailed
+// instructions, and a cache hit advances nothing.
+func TestSimulatedCounters(t *testing.T) {
+	cache, err := runcache.New(runcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := NewModel(config.Base())
+	p := workload.SPECint95()
+	full := RunOptions{Insts: 20_000, Cache: cache}
+	sampled := full
+	sampled.Insts = 60_000
+	sampled.Sample = config.Sampling{IntervalInsts: 20_000, WarmupInsts: 1_000, MeasureInsts: 2_000}
+
+	run := func(opt RunOptions) (rep system.Report, instrs, cycles, runs uint64) {
+		t.Helper()
+		i0, c0, r0 := simInstrs.Value(), simCycles.Value(), simRuns.Value()
+		rep, err := m.RunContext(context.Background(), p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, simInstrs.Value() - i0, simCycles.Value() - c0, simRuns.Value() - r0
+	}
+
+	rep, instrs, cycles, runs := run(full)
+	if instrs != rep.Committed || cycles != rep.Cycles || runs != 1 {
+		t.Errorf("full miss: +%d instrs, +%d cycles, +%d runs; want +%d, +%d, +1",
+			instrs, cycles, runs, rep.Committed, rep.Cycles)
+	}
+	rep, instrs, cycles, runs = run(sampled)
+	if rep.Sampling == nil {
+		t.Fatal("sampled run has no sampling block")
+	}
+	if instrs != rep.Sampling.DetailedInsts || cycles == 0 || runs != 1 {
+		t.Errorf("sampled miss: +%d instrs, +%d cycles, +%d runs; want +%d detailed instrs, cycles > 0, +1",
+			instrs, cycles, runs, rep.Sampling.DetailedInsts)
+	}
+	for _, opt := range []RunOptions{full, sampled} {
+		if _, instrs, cycles, runs := run(opt); instrs != 0 || cycles != 0 || runs != 0 {
+			t.Errorf("cache hit (sampled=%v): +%d instrs, +%d cycles, +%d runs; want 0",
+				opt.Sample.Enabled(), instrs, cycles, runs)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"math"
-	"sync/atomic"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/obs"
@@ -25,32 +24,6 @@ import (
 // simulation output — timing fixes, new counters, workload-generator
 // changes — or stale results will be served as current ones.
 const ModelVersion = "sparc64v-model/6"
-
-// Simulation meter: committed instructions, cycles and runs actually
-// simulated in this process (cache-served results do not count). The sweep
-// reports effective sim-instrs/s from it; the simd service exposes it on
-// /metrics. Atomics: simulations run concurrently on the scheduler.
-var (
-	meterInstrs atomic.Uint64
-	meterCycles atomic.Uint64
-	meterRuns   atomic.Uint64
-)
-
-// MeterReset zeroes the simulation meter.
-func MeterReset() { meterInstrs.Store(0); meterCycles.Store(0); meterRuns.Store(0) }
-
-// Meter returns committed instructions, simulated cycles and simulation
-// runs accumulated since the last reset.
-func Meter() (instrs, cycles, runs uint64) {
-	return meterInstrs.Load(), meterCycles.Load(), meterRuns.Load()
-}
-
-// meter counts one finished simulation.
-func meter(instrs, cycles uint64) {
-	meterInstrs.Add(instrs)
-	meterCycles.Add(cycles)
-	meterRuns.Add(1)
-}
 
 // Model is a machine configuration ready to run workloads.
 type Model struct {

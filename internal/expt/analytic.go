@@ -9,7 +9,7 @@ import (
 	"sparc64v/internal/stats"
 )
 
-// AnalyticStudyCtx renders the grey-box analytic estimator's accuracy
+// AnalyticStudy renders the grey-box analytic estimator's accuracy
 // against the detailed model: per workload, the base-configuration measured
 // and predicted CPI, the fitted overlap coefficients, and the residual
 // spread across the eight-configuration calibration ladder. The study reads
@@ -17,10 +17,10 @@ import (
 // reference runs recorded at calibration time — so it costs no simulation
 // and is deterministic by construction (the analytic-residual check in
 // cmd/verify re-validates the artifact against fresh detailed runs).
-func AnalyticStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func AnalyticStudy(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	cal, err := analytic.Default()
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	t := stats.NewTable("Analytic CPI estimator vs detailed model (base configuration)",
 		"workload", "detailed CPI", "analytic CPI", "err %", "ladder worst err %", "ladder rmse %",
@@ -33,7 +33,7 @@ func AnalyticStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) 
 			}
 		}
 		if base == nil {
-			return Result{}, fmt.Errorf("expt: %s: artifact has no base-configuration residual",
+			return nil, fmt.Errorf("expt: %s: artifact has no base-configuration residual",
 				wc.Features.Workload)
 		}
 		t.AddRow(wc.Features.Workload,
@@ -41,7 +41,7 @@ func AnalyticStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) 
 			100*wc.MaxRelErr, 100*wc.RMSE,
 			wc.Coeffs.Core, wc.Coeffs.Mem, wc.Coeffs.Branch, wc.Coeffs.Const)
 	}
-	return Result{ID: "Estimator", Title: "Grey-box analytic CPI model", Table: t,
+	return []Result{{ID: "Estimator", Title: "Grey-box analytic CPI model", Table: t,
 		Notes: []string{
 			fmt.Sprintf("calibrated against %s detailed runs at %d instructions, seed %d; "+
 				"regenerate with cmd/calibrate", cal.ModelVersion, cal.Insts, cal.Seed),
@@ -49,5 +49,5 @@ func AnalyticStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) 
 				"penalty terms; the out-of-order window hides the remainder",
 			"POST /v1/estimate serves this model in microseconds; estimates carry the " +
 				"ladder worst-case error as their confidence band",
-		}}, nil
+		}}}, nil
 }

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"testing"
 
 	"sparc64v/internal/core"
@@ -15,12 +16,12 @@ func TestAllDeterministicAcrossWorkers(t *testing.T) {
 	opt := core.RunOptions{Insts: 20_000}
 
 	opt.Workers = 1
-	serial, err := All(opt)
+	serial, err := AllContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 8
-	parallel, err := All(opt)
+	parallel, err := AllContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

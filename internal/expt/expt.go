@@ -4,13 +4,16 @@
 // Absolute numbers differ (synthetic workloads, not Fujitsu's traces) but
 // the comparisons' shapes are the reproduction target; see EXPERIMENTS.md.
 //
-// Every study is a set of independent (configuration, workload)
-// simulations — exactly how the paper's team ran them — so each harness
-// submits its runs to core.RunJobs (the sched worker pool, batched by
-// core.RunOptions.Batch) and assembles tables from the deterministically
-// ordered results. All itself runs whole studies
-// concurrently on top of that. Workers = 1 (core.RunOptions.Workers)
-// degenerates to the historical serial sweep with identical output.
+// Every study has one call form, func(context.Context, core.RunOptions)
+// ([]Result, error), so Studies() lists the functions themselves and the
+// sweep, the experiment service and the public facade call them alike.
+// A study is a set of independent (configuration, workload) simulations —
+// exactly how the paper's team ran them — so each one submits its runs to
+// core.RunJobs (the sched worker pool, batched by core.RunOptions.Batch)
+// and assembles tables from the deterministically ordered results.
+// AllContext runs whole studies concurrently on top of that. Workers = 1
+// (core.RunOptions.Workers) degenerates to the historical serial sweep
+// with identical output.
 package expt
 
 import (
@@ -140,19 +143,14 @@ func Table1() Result {
 // breakdown into core / branch / ibs+tlb / sx via perfect-ization.
 // The study is 5 workloads x 4 perfect-ization rungs = 20 independent
 // simulations, flattened onto one scheduler batch.
-func Fig07(opt core.RunOptions) (Result, error) {
-	return Fig07Ctx(context.Background(), opt)
-}
-
-// Fig07Ctx is Fig07 with a cancellation point.
-func Fig07Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func Fig07(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Execution time breakdown (fraction of cycles)",
 		"workload", "core", "branch", "ibs/tlb", "sx")
 	profiles := workload.UPProfiles()
 	cfgs := core.BreakdownConfigs(config.Base())
 	reports, err := runJobs(ctx, crossJobs(profiles, cfgs, opt), opt)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	var labels []string
 	var shares [][]float64
@@ -165,7 +163,7 @@ func Fig07Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	}
 	chart := stats.StackedBars("", labels, shares,
 		[]string{"core", "branch", "ibs/tlb", "sx"}, []rune{'c', 'b', 'i', 's'})
-	return Result{
+	return []Result{{
 		ID:    "Figure 7",
 		Title: "Benchmark characteristics",
 		Table: t,
@@ -174,16 +172,11 @@ func Fig07Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 			"expected: TPC-C dominated by sx (L2 miss) stalls;",
 			"SPECint95 spends ~30% on branch stalls; SPECfp95 ~74% in the core",
 		},
-	}, nil
+	}}, nil
 }
 
 // Fig08 reproduces the issue-width study: 4-way vs 2-way IPC.
-func Fig08(opt core.RunOptions) (Result, error) {
-	return Fig08Ctx(context.Background(), opt)
-}
-
-// Fig08Ctx is Fig08 with a cancellation point.
-func Fig08Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func Fig08(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Issue width: 4-way vs 2-way",
 		"workload", "IPC 4w", "IPC 2w", "2w vs 4w %")
 	base := config.Base()
@@ -191,7 +184,7 @@ func Fig08Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	reports, err := runJobs(ctx, crossJobs(profiles,
 		[]config.Config{base, base.WithIssueWidth(2)}, opt), opt)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	var labels []string
 	var deltas []float64
@@ -202,23 +195,18 @@ func Fig08Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 		labels = append(labels, p.Name)
 		deltas = append(deltas, d)
 	}
-	return Result{
+	return []Result{{
 		ID:    "Figure 8",
 		Title: "Issue width — 4-way vs 2-way",
 		Table: t,
 		Chart: stats.Bars("2-way IPC relative to 4-way (%)", labels, deltas, "%"),
 		Notes: []string{"expected: 2-way clearly slower everywhere; largest gap on high-hit-ratio SPECint"},
-	}, nil
+	}}, nil
 }
 
 // Fig09and10 reproduces the BHT geometry study: IPC and prediction
 // failure rates for 16k-4w.2t vs 4k-2w.1t.
-func Fig09and10(opt core.RunOptions) (Result, Result, error) {
-	return Fig09and10Ctx(context.Background(), opt)
-}
-
-// Fig09and10Ctx is Fig09and10 with a cancellation point.
-func Fig09and10Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, error) {
+func Fig09and10(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	ipc := stats.NewTable("BHT geometry: IPC",
 		"workload", "IPC 16k-4w.2t", "IPC 4k-2w.1t", "4k vs 16k %")
 	fail := stats.NewTable("Branch prediction failures (mispredicts/branch)",
@@ -228,7 +216,7 @@ func Fig09and10Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	reports, err := runJobs(ctx, crossJobs(profiles,
 		[]config.Config{base, base.WithSmallBHT()}, opt), opt)
 	if err != nil {
-		return Result{}, Result{}, err
+		return nil, err
 	}
 	for i, p := range profiles {
 		rb, rs := reports[2*i], reports[2*i+1]
@@ -241,17 +229,12 @@ func Fig09and10Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 			"TPC-C loses ~5% IPC with the small table"}}
 	r10 := Result{ID: "Figure 10", Title: "Branch prediction failures", Table: fail,
 		Notes: []string{"expected: TPC-C failure rate ~60% greater on 4k-2w.1t; SPEC unchanged"}}
-	return r9, r10, nil
+	return []Result{r9, r10}, nil
 }
 
 // Fig11to13 reproduces the L1 geometry study: IPC and I/D miss ratios for
 // 128k-2w.4c vs 32k-1w.3c.
-func Fig11to13(opt core.RunOptions) (Result, Result, Result, error) {
-	return Fig11to13Ctx(context.Background(), opt)
-}
-
-// Fig11to13Ctx is Fig11to13 with a cancellation point.
-func Fig11to13Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, Result, error) {
+func Fig11to13(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	ipc := stats.NewTable("L1 geometry: IPC",
 		"workload", "IPC 128k-2w.4c", "IPC 32k-1w.3c", "32k vs 128k %")
 	imiss := stats.NewTable("L1 instruction cache miss ratio",
@@ -263,7 +246,7 @@ func Fig11to13Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, Res
 	reports, err := runJobs(ctx, crossJobs(profiles,
 		[]config.Config{base, base.WithSmallL1()}, opt), opt)
 	if err != nil {
-		return Result{}, Result{}, Result{}, err
+		return nil, err
 	}
 	for i, p := range profiles {
 		rb, rs := reports[2*i], reports[2*i+1]
@@ -279,17 +262,12 @@ func Fig11to13Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, Res
 		Notes: []string{"expected: TPC-C I-miss roughly doubles (+99% in the paper) on 32k-1w"}}
 	r13 := Result{ID: "Figure 13", Title: "L1 operand cache miss", Table: dmiss,
 		Notes: []string{"expected: TPC-C D-miss ~+64% on 32k-1w"}}
-	return r11, r12, r13, nil
+	return []Result{r11, r12, r13}, nil
 }
 
 // Fig14and15 reproduces the L2 study: on-chip 2MB 4-way vs off-chip 8MB
 // 2-way and direct-mapped, including the TPC-C 16-processor SMP model.
-func Fig14and15(opt core.RunOptions) (Result, Result, error) {
-	return Fig14and15Ctx(context.Background(), opt)
-}
-
-// Fig14and15Ctx is Fig14and15 with a cancellation point.
-func Fig14and15Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, error) {
+func Fig14and15(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	ipc := stats.NewTable("L2 geometry: IPC relative to on.2m-4w (%)",
 		"workload", "off.8m-2w %", "off.8m-1w %")
 	miss := stats.NewTable("L2 cache miss ratio (demand)",
@@ -309,7 +287,7 @@ func Fig14and15Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	}
 	reports, err := runJobs(ctx, jobs, opt)
 	if err != nil {
-		return Result{}, Result{}, err
+		return nil, err
 	}
 	addRows := func(name string, rs []system.Report) {
 		ipc.AddRow(name, stats.PercentDelta(rs[1].IPC(), rs[0].IPC()),
@@ -329,16 +307,11 @@ func Fig14and15Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 			"sits between it and on.2m-4w"}}
 	r15 := Result{ID: "Figure 15", Title: "L2 cache miss", Table: miss,
 		Notes: []string{"expected: 8MB cuts miss ratios; direct mapping gives conflicts back"}}
-	return r14, r15, nil
+	return []Result{r14, r15}, nil
 }
 
 // Fig16and17 reproduces the hardware prefetch study.
-func Fig16and17(opt core.RunOptions) (Result, Result, error) {
-	return Fig16and17Ctx(context.Background(), opt)
-}
-
-// Fig16and17Ctx is Fig16and17 with a cancellation point.
-func Fig16and17Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, error) {
+func Fig16and17(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	ipc := stats.NewTable("Hardware prefetch: IPC impact",
 		"workload", "IPC with", "IPC without", "gain %")
 	miss := stats.NewTable("L2 miss ratio under prefetch",
@@ -348,7 +321,7 @@ func Fig16and17Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	reports, err := runJobs(ctx, crossJobs(profiles,
 		[]config.Config{base, base.WithoutPrefetch()}, opt), opt)
 	if err != nil {
-		return Result{}, Result{}, err
+		return nil, err
 	}
 	for i, p := range profiles {
 		rw, ro := reports[2*i], reports[2*i+1]
@@ -362,45 +335,35 @@ func Fig16and17Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	r17 := Result{ID: "Figure 17", Title: "Hardware prefetching — L2 cache miss", Table: miss,
 		Notes: []string{"expected: with-Demand < without (fewer demand misses);",
 			"with > with-Demand exposes unnecessary prefetch traffic"}}
-	return r16, r17, nil
+	return []Result{r16, r17}, nil
 }
 
 // Fig18 reproduces the reservation-station topology study: fused 1RS
 // (up to two dispatches) vs the adopted 2RS.
-func Fig18(opt core.RunOptions) (Result, error) {
-	return Fig18Ctx(context.Background(), opt)
-}
-
-// Fig18Ctx is Fig18 with a cancellation point.
-func Fig18Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func Fig18(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Reservation stations: 2RS relative to 1RS",
 		"workload", "IPC 1RS", "IPC 2RS", "2RS vs 1RS %")
 	profiles := workload.UPProfiles()
 	reports, err := runJobs(ctx, crossJobs(profiles,
 		[]config.Config{config.Base().WithOneRS(), config.Base()}, opt), opt)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	for i, p := range profiles {
 		r1, r2 := reports[2*i], reports[2*i+1]
 		t.AddRow(p.Name, r1.IPC(), r2.IPC(), stats.PercentDelta(r2.IPC(), r1.IPC()))
 	}
-	return Result{ID: "Figure 18", Title: "Reservation station — 1RS vs 2RS", Table: t,
+	return []Result{{ID: "Figure 18", Title: "Reservation station — 1RS vs 2RS", Table: t,
 		Notes: []string{"expected: 2RS slightly slower (the paper accepts the small loss for simpler dispatch);",
 			"reproduced: integer/OLTP ≈ −1% as in the paper; our FP loss is larger (station",
-			"capacity pooling matters more under this model's FP chains)"}}, nil
+			"capacity pooling matters more under this model's FP chains)"}}}, nil
 }
 
 // Fig19 reproduces the model-accuracy study: version estimates relative
 // to the final model, and errors against the physical-machine proxy.
 // The two workloads' fidelity ladders run concurrently; each ladder's nine
 // simulations are themselves scheduled (verif.RunAccuracyStudyContext).
-func Fig19(opt core.RunOptions) (Result, error) {
-	return Fig19Ctx(context.Background(), opt)
-}
-
-// Fig19Ctx is Fig19 with a cancellation point.
-func Fig19Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func Fig19(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Performance model accuracy (SPEC CPU2000 workloads)",
 		"version", "detail", "int2000 perf/v8", "int2000 err vs machine %", "fp2000 perf/v8", "fp2000 err vs machine %")
 	var si, sf verif.AccuracyStudy
@@ -415,19 +378,19 @@ func Fig19Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 		},
 	)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	for i := range si.Points {
 		pi, pf := si.Points[i], sf.Points[i]
 		t.AddRow(pi.Name, pi.Detail, pi.RatioToFinal, 100*pi.ErrorVsMachine,
 			pf.RatioToFinal, 100*pf.ErrorVsMachine)
 	}
-	return Result{ID: "Figure 19", Title: "Performance model accuracy", Table: t,
+	return []Result{{ID: "Figure 19", Title: "Performance model accuracy", Table: t,
 		Notes: []string{
 			fmt.Sprintf("final error: SPECint2000 %.1f%%, SPECfp2000 %.1f%% (paper: 4.2%% / 3.9%%)",
 				100*si.FinalError(), 100*sf.FinalError()),
 			"expected: estimates decrease with fidelity except the v5 bump (special instructions)",
-		}}, nil
+		}}}, nil
 }
 
 // Study is one named entry of the full sweep. The name labels the study in
@@ -447,65 +410,27 @@ func (s Study) Slug() string {
 }
 
 // Studies returns every experiment of the full sweep in presentation
-// order. The registry is shared by cmd/sweep (All) and the experiment
-// service (internal/server), so a study is addressable the same way
-// everywhere.
+// order. The registry is shared by cmd/sweep (AllContext) and the
+// experiment service (internal/server), so a study is addressable the same
+// way everywhere.
 func Studies() []Study {
 	return []Study{
 		{"Table 1", func(context.Context, core.RunOptions) ([]Result, error) {
 			return []Result{Table1()}, nil
 		}},
-		{"Figure 7", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := Fig07Ctx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Figure 8", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := Fig08Ctx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Figures 9-10", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			a, b, err := Fig09and10Ctx(ctx, o)
-			return []Result{a, b}, err
-		}},
-		{"Figures 11-13", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			a, b, c, err := Fig11to13Ctx(ctx, o)
-			return []Result{a, b, c}, err
-		}},
-		{"Figures 14-15", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			a, b, err := Fig14and15Ctx(ctx, o)
-			return []Result{a, b}, err
-		}},
-		{"Figures 16-17", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			a, b, err := Fig16and17Ctx(ctx, o)
-			return []Result{a, b}, err
-		}},
-		{"Figure 18", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := Fig18Ctx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Figure 19", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := Fig19Ctx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Extension", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := HPCStudyCtx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Sampling", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := SampledStudyCtx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Section 2.1", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			return []Result{ModelSpeedCtx(ctx, o)}, nil
-		}},
-		{"Estimator", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := AnalyticStudyCtx(ctx, o)
-			return []Result{r}, err
-		}},
-		{"Litmus", func(ctx context.Context, o core.RunOptions) ([]Result, error) {
-			r, err := LitmusStudyCtx(ctx, o)
-			return []Result{r}, err
-		}},
+		{"Figure 7", Fig07},
+		{"Figure 8", Fig08},
+		{"Figures 9-10", Fig09and10},
+		{"Figures 11-13", Fig11to13},
+		{"Figures 14-15", Fig14and15},
+		{"Figures 16-17", Fig16and17},
+		{"Figure 18", Fig18},
+		{"Figure 19", Fig19},
+		{"Extension", HPCStudy},
+		{"Sampling", SampledStudy},
+		{"Section 2.1", ModelSpeed},
+		{"Estimator", AnalyticStudy},
+		{"Litmus", LitmusStudy},
 	}
 }
 
@@ -518,19 +443,14 @@ func incompleteResult(name string, err error) Result {
 		Notes: []string{"study did not complete; see status above"}}
 }
 
-// All runs every experiment in presentation order: the studies execute
-// concurrently on the scheduler (each study also schedules its own runs),
-// and results come back in the fixed presentation order with per-study
-// wall time stamped into Result.Elapsed.
-func All(opt core.RunOptions) ([]Result, error) {
-	return AllContext(context.Background(), opt)
-}
-
-// AllContext is All with a cancellation point. On cancellation (or a study
-// failure) it still returns every completed study's results in
-// presentation order, with an incompleteResult marker in each missing
-// study's slot, alongside the lowest-index study error — so a sweep
-// interrupted by a deadline or SIGINT renders everything it finished.
+// AllContext runs every experiment in presentation order: the studies
+// execute concurrently on the scheduler (each study also schedules its own
+// runs), and results come back in the fixed presentation order with
+// per-study wall time stamped into Result.Elapsed. On cancellation (or a
+// study failure) it still returns every completed study's results, with
+// an incompleteResult marker in each missing study's slot, alongside the
+// lowest-index study error — so a sweep interrupted by a deadline or
+// SIGINT renders everything it finished.
 func AllContext(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	all := Studies()
 	groups, errs := sched.MapAllCtx(ctx, len(all), sched.Options{Workers: opt.Workers},
@@ -561,12 +481,7 @@ func AllContext(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 // HPCStudy is an extension experiment (not a paper figure): it quantifies
 // the dual floating-point multiply-add units the paper highlights as the
 // machine's HPC feature, on a dense FMA kernel.
-func HPCStudy(opt core.RunOptions) (Result, error) {
-	return HPCStudyCtx(context.Background(), opt)
-}
-
-// HPCStudyCtx is HPCStudy with a cancellation point.
-func HPCStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func HPCStudy(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Dual multiply-add units on a dense FP kernel",
 		"configuration", "IPC", "vs base %")
 	kernel := workload.HPC()
@@ -590,26 +505,15 @@ func HPCStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	}
 	reports, err := runJobs(ctx, jobs, opt)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	base := reports[0].IPC()
 	for i, v := range variants {
 		t.AddRow(v.name, reports[i].IPC(), stats.PercentDelta(reports[i].IPC(), base))
 	}
-	return Result{ID: "Extension", Title: "HPC: dual multiply-add units", Table: t,
+	return []Result{{ID: "Extension", Title: "HPC: dual multiply-add units", Table: t,
 		Notes: []string{"the paper: \"having two sets of floating-point multiply-add execution",
-			"units is effective for HPC performance\" — quantified here"}}, nil
-}
-
-// SampledStudy validates sampled simulation (internal/core/sample.go)
-// against the full model: every uniprocessor workload runs both ways and
-// the table reports the CPI agreement, the per-run window count, and the
-// fraction of instructions that ran on the detailed model. The rendered
-// numbers are all deterministic — wall-clock speedups are measured by the
-// benchmark suite (BenchmarkSampledRun), not here, so EXPERIMENTS.md stays
-// byte-identical across hosts.
-func SampledStudy(opt core.RunOptions) (Result, error) {
-	return SampledStudyCtx(context.Background(), opt)
+			"units is effective for HPC performance\" — quantified here"}}}, nil
 }
 
 // sampledStudySchedule is the validation schedule for a trace of n
@@ -630,8 +534,14 @@ func sampledStudySchedule(n int) config.Sampling {
 	return s
 }
 
-// SampledStudyCtx is SampledStudy with a cancellation point.
-func SampledStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
+// SampledStudy validates sampled simulation (internal/core/sample.go)
+// against the full model: every uniprocessor workload runs both ways and
+// the table reports the CPI agreement, the per-run window count, and the
+// fraction of instructions that ran on the detailed model. The rendered
+// numbers are all deterministic — wall-clock speedups are measured by the
+// benchmark suite (BenchmarkSampledRun), not here, so EXPERIMENTS.md stays
+// byte-identical across hosts.
+func SampledStudy(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	opt.Sample = config.Sampling{} // the comparison baseline is always a full run
 	sc := sampledStudySchedule(opt.Insts)
 	t := stats.NewTable(fmt.Sprintf("Sampled vs full simulation (%s)", sc),
@@ -646,7 +556,7 @@ func SampledStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	}
 	reports, err := runJobs(ctx, jobs, opt)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	for i, p := range profiles {
 		full, samp := reports[2*i], reports[2*i+1]
@@ -659,53 +569,42 @@ func SampledStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 		t.AddRow(p.Name, fullCPI, sampCPI,
 			stats.PercentDelta(sampCPI, fullCPI), windows, detailed)
 	}
-	return Result{ID: "Sampling", Title: "Sampled simulation validation", Table: t,
+	return []Result{{ID: "Sampling", Title: "Sampled simulation validation", Table: t,
 		Notes: []string{"sampled runs fast-forward between detailed measurement windows (SMARTS-style);",
 			"CPI agreement within a few percent at a fraction of the detailed instructions —",
-			"wall-clock speedup is measured by BenchmarkSampledRun (see DESIGN.md)"}}, nil
+			"wall-clock speedup is measured by BenchmarkSampledRun (see DESIGN.md)"}}}, nil
 }
 
-// ModelSpeed measures the simulator's own throughput — the modern
-// counterpart of the paper's "7.8K instructions per second on a 1-GHz
-// Pentium III" quote for their C model. Per-workload rows are measured
-// serially (single-thread model speed); the final row runs every
-// uniprocessor workload concurrently through the scheduler and reports
-// effective aggregate throughput, the number that governs sweep turnaround
-// on a multicore host.
-func ModelSpeed(opt core.RunOptions) Result {
-	return ModelSpeedCtx(context.Background(), opt)
-}
-
-// ModelSpeedCtx is ModelSpeed with a cancellation point; cancelled rows
-// are simply omitted.
+// ModelSpeed is the modern counterpart of the paper's "7.8K instructions
+// per second on a 1-GHz Pentium III" quote for their C model.
 //
-// The paper quotes an absolute simulation rate (7.8K instr/s on a 1-GHz
-// Pentium III). A wall-clock rate is a property of the measuring host, so
-// rendering it here would make every regenerated EXPERIMENTS.md differ;
-// instead the table reports the deterministic side of the same
-// calibration — the cycle counts the model computes for a fixed
-// 200k-instruction trace of each workload — and cmd/sweep prints the
-// measured effective sim-instrs/s on stderr. The runs honor opt.Cache
-// like every other study, so a warm-cache sweep serves them without
-// simulating.
-func ModelSpeedCtx(ctx context.Context, opt core.RunOptions) Result {
+// A wall-clock rate is a property of the measuring host, so rendering it
+// here would make every regenerated EXPERIMENTS.md differ; instead the
+// table reports the deterministic side of the same calibration — the
+// cycle counts the model computes for a fixed 200k-instruction trace of
+// each workload — and cmd/sweep prints the measured effective
+// sim-instrs/s on stderr. The runs honor opt.Cache like every other study,
+// so a warm-cache sweep serves them without simulating. The first run
+// error (a cancellation, say) fails the study, so a cut sweep marks it
+// incomplete instead of rendering a short table.
+func ModelSpeed(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Model calibration (200k-instr runs, base configuration)",
 		"workload", "instructions", "simulated cycles")
+	m, err := core.NewModel(config.Base())
+	if err != nil {
+		return nil, err
+	}
 	const insts = 200_000
 	for _, p := range workload.UPProfiles() {
-		m, err := core.NewModel(config.Base())
-		if err != nil {
-			continue
-		}
 		r, err := m.RunContext(ctx, p, core.RunOptions{Insts: insts, Cache: opt.Cache})
 		if err != nil {
-			continue
+			return nil, err
 		}
 		t.AddRow(p.Name, r.Committed, r.MeasuredCycles())
 	}
-	return Result{ID: "Section 2.1", Title: "Model speed", Table: t,
+	return []Result{{ID: "Section 2.1", Title: "Model speed", Table: t,
 		Notes: []string{"the paper's model ran at 7.8K instr/s on a 1-GHz Pentium III; " +
-			"this host's measured rate is cmd/sweep's \"effective sim-instrs/s\" stderr line"}}
+			"this host's measured rate is cmd/sweep's \"effective sim-instrs/s\" stderr line"}}}, nil
 }
 
 // timeNow is indirected for tests.

@@ -15,6 +15,19 @@ import (
 // EXPERIMENTS.md).
 func testOpt() core.RunOptions { return core.RunOptions{Insts: 50_000} }
 
+// runStudy runs a study at testOpt and checks it produced n results.
+func runStudy(t *testing.T, study func(context.Context, core.RunOptions) ([]Result, error), n int) []Result {
+	t.Helper()
+	rs, err := study(context.Background(), testOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != n {
+		t.Fatalf("study returned %d results, want %d", len(rs), n)
+	}
+	return rs
+}
+
 func TestTable1(t *testing.T) {
 	r := Table1()
 	if r.ID != "Table 1" || r.Table.Rows() < 10 {
@@ -29,10 +42,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig07(t *testing.T) {
-	r, err := Fig07(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runStudy(t, Fig07, 1)[0]
 	if r.Table.Rows() != 5 {
 		t.Fatalf("Fig07 has %d rows", r.Table.Rows())
 	}
@@ -42,31 +52,22 @@ func TestFig07(t *testing.T) {
 }
 
 func TestFig08(t *testing.T) {
-	r, err := Fig08(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runStudy(t, Fig08, 1)[0]
 	if r.Table.Rows() != 5 {
 		t.Fatalf("Fig08 has %d rows", r.Table.Rows())
 	}
 }
 
 func TestFig09and10(t *testing.T) {
-	r9, r10, err := Fig09and10(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runStudy(t, Fig09and10, 2)
+	r9, r10 := rs[0], rs[1]
 	if r9.Table.Rows() != 5 || r10.Table.Rows() != 5 {
 		t.Fatal("BHT figures incomplete")
 	}
 }
 
 func TestFig11to13(t *testing.T) {
-	r11, r12, r13, err := Fig11to13(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []Result{r11, r12, r13} {
+	for _, r := range runStudy(t, Fig11to13, 3) {
 		if r.Table.Rows() != 5 {
 			t.Fatalf("%s has %d rows", r.ID, r.Table.Rows())
 		}
@@ -74,10 +75,8 @@ func TestFig11to13(t *testing.T) {
 }
 
 func TestFig14and15(t *testing.T) {
-	r14, r15, err := Fig14and15(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runStudy(t, Fig14and15, 2)
+	r14, r15 := rs[0], rs[1]
 	// Five UP workloads plus TPC-C(16P).
 	if r14.Table.Rows() != 6 || r15.Table.Rows() != 6 {
 		t.Fatalf("L2 figures: %d/%d rows", r14.Table.Rows(), r15.Table.Rows())
@@ -88,30 +87,22 @@ func TestFig14and15(t *testing.T) {
 }
 
 func TestFig16and17(t *testing.T) {
-	r16, r17, err := Fig16and17(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runStudy(t, Fig16and17, 2)
+	r16, r17 := rs[0], rs[1]
 	if r16.Table.Rows() != 5 || r17.Table.Rows() != 5 {
 		t.Fatal("prefetch figures incomplete")
 	}
 }
 
 func TestFig18(t *testing.T) {
-	r, err := Fig18(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runStudy(t, Fig18, 1)[0]
 	if r.Table.Rows() != 5 {
 		t.Fatalf("Fig18 has %d rows", r.Table.Rows())
 	}
 }
 
 func TestFig19(t *testing.T) {
-	r, err := Fig19(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runStudy(t, Fig19, 1)[0]
 	if r.Table.Rows() != 8 {
 		t.Fatalf("Fig19 has %d rows (want v1..v8)", r.Table.Rows())
 	}
@@ -136,25 +127,35 @@ func TestMPOptScaling(t *testing.T) {
 }
 
 func TestHPCStudy(t *testing.T) {
-	r, err := HPCStudy(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runStudy(t, HPCStudy, 1)[0]
 	if r.Table.Rows() != 5 {
 		t.Fatalf("rows: %d", r.Table.Rows())
 	}
 }
 
 func TestModelSpeed(t *testing.T) {
-	r := ModelSpeed(testOpt())
+	r := runStudy(t, ModelSpeed, 1)[0]
 	// One calibration row per UP workload.
 	if r.Table.Rows() != 5 {
 		t.Fatalf("rows: %d", r.Table.Rows())
 	}
 	// The rendered table must be deterministic (no wall-clock columns):
 	// rendering twice gives the same bytes.
-	if a, b := r.Table.String(), ModelSpeed(testOpt()).Table.String(); a != b {
+	if a, b := r.Table.String(), runStudy(t, ModelSpeed, 1)[0].Table.String(); a != b {
 		t.Error("ModelSpeed table is not deterministic across runs")
+	}
+}
+
+// TestModelSpeedCancelled: a cancelled run fails the study instead of
+// silently dropping its row, so a cut sweep marks Section 2.1 incomplete
+// rather than rendering a short table.
+func TestModelSpeedCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rs, err := ModelSpeed(ctx, testOpt())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ModelSpeed on a cancelled context: %d results, err = %v; want context.Canceled",
+			len(rs), err)
 	}
 }
 
@@ -218,9 +219,10 @@ func TestAllContextMidCancel(t *testing.T) {
 	t.Logf("%d/%d result slots incomplete after the deadline", incomplete, len(results))
 }
 
-// TestAllContextUncancelledMatchesAll: with a live context the ctx variant
-// is the same sweep — All itself delegates to it, and determinism across
-// worker counts is locked by TestAllDeterministicAcrossWorkers.
+// TestAllContextUncancelledMatchesAll: with a live context the sweep
+// completes every study — no slot carries an incomplete marker; its
+// determinism across worker counts is locked by
+// TestAllDeterministicAcrossWorkers.
 func TestAllContextUncancelledMatchesAll(t *testing.T) {
 	results, err := AllContext(context.Background(), testOpt())
 	if err != nil {

@@ -10,14 +10,14 @@ import (
 	"sparc64v/internal/stats"
 )
 
-// LitmusStudyCtx sweeps the TSO litmus-test catalog (internal/litmus) and
+// LitmusStudy sweeps the TSO litmus-test catalog (internal/litmus) and
 // renders the outcome-frequency table: every shape at its natural machine
 // size, each observed register tuple with its count and TSO verdict. The
 // paper's part implements SPARC TSO; this study is the repository's
 // visible evidence that the SMP model both never violates it and actually
 // exhibits the one relaxation TSO permits (SB's r0=0,r1=0 store-buffer
 // signature). Deterministic for a fixed seed at any worker count.
-func LitmusStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
+func LitmusStudy(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	seed := opt.Seed
 	if seed == 0 {
 		seed = 42
@@ -34,7 +34,7 @@ func LitmusStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 			Workers:  opt.Workers,
 		})
 		if err != nil {
-			return Result{}, fmt.Errorf("litmus %s: %w", tt.Name, err)
+			return nil, fmt.Errorf("litmus %s: %w", tt.Name, err)
 		}
 		for _, oc := range sr.Outcomes {
 			verdict := "allowed"
@@ -56,10 +56,10 @@ func LitmusStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	} else {
 		notes = append(notes, "VERDICT: FAIL — the SMP model violates SPARC TSO")
 	}
-	return Result{
+	return []Result{{
 		ID:    "Litmus",
 		Title: "SPARC TSO memory-ordering conformance (litmus-test sweeps)",
 		Table: t,
 		Notes: notes,
-	}, nil
+	}}, nil
 }

@@ -37,10 +37,6 @@ import (
 	"sparc64v/internal/server"
 )
 
-// maxBodyBytes bounds a proxied request body; run requests are a few
-// hundred bytes of JSON, so 1 MiB is headroom, not a budget.
-const maxBodyBytes = 1 << 20
-
 // Worker names one member of the pool. Name is the ring identity and the
 // bounded metrics label; URL is where requests go. Keeping them separate
 // means a worker can change address (restart on a new port) without
@@ -407,9 +403,8 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	g.requestCounter("run").Inc()
 	t0 := g.now()
 	defer func() { g.proxySeconds.Observe(g.now().Sub(t0).Seconds()) }()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -427,6 +422,22 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	g.route(w, r, "/v1/run", body, rr.Key.ID())
 }
 
+// readBody reads a POST body of at most server.MaxBodyBytes, the worker's
+// own bound. On failure it writes the client error — 413 for an oversized
+// body, 400 otherwise — and returns false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
+	if err != nil {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", server.MaxBodyBytes)
+		} else {
+			httpError(w, http.StatusBadRequest, "read body: %v", err)
+		}
+		return nil, false
+	}
+	return body, true
+}
+
 // handleEstimate proxies POST /v1/estimate. Estimates are pure
 // arithmetic, so placement is about load spreading, not cache locality;
 // hashing the body gives a stable, coordination-free spread that keeps
@@ -435,9 +446,8 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	g.requestCounter("estimate").Inc()
 	t0 := g.now()
 	defer func() { g.proxySeconds.Observe(g.now().Sub(t0).Seconds()) }()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	sum := sha256.Sum256(body)

@@ -80,10 +80,17 @@ const (
 	kindHistogram = "histogram"
 )
 
+// counterFunc and gaugeFunc are series whose value is read from a
+// function at render time (state another component already owns).
+type (
+	counterFunc func() uint64
+	gaugeFunc   func() int64
+)
+
 // series is one labeled instance within a family.
 type series struct {
 	labels []Label // sorted by key
-	metric any     // *Counter, *Gauge or *Histogram
+	metric any     // *Counter, *Gauge, *Histogram, counterFunc or gaugeFunc
 }
 
 // family groups the series sharing one metric name.
@@ -176,6 +183,19 @@ func (f *family) getSeries(r *Registry, labels []Label, mk func() any) any {
 	return s.metric
 }
 
+// setFunc installs a func-backed series. A (name, labels) series can be
+// backed by one function only, so an existing series is a programming
+// error and panics.
+func (f *family) setFunc(r *Registry, labels []Label, fn any) {
+	key, ls := seriesKey(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := f.series[key]; ok {
+		panic(fmt.Sprintf("obs: metric %s{%s} already registered", f.name, key))
+	}
+	f.series[key] = &series{labels: ls, metric: fn}
+}
+
 // Counter returns (creating on first use) the counter series for
 // name+labels. Help is recorded on first registration.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
@@ -187,6 +207,18 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	f := r.get(name, help, kindGauge, nil)
 	return f.getSeries(r, labels, func() any { return new(Gauge) }).(*Gauge)
+}
+
+// CounterFunc registers a counter series for name+labels whose value is
+// fn(), read at render time. The family is get-or-create like Counter's;
+// registering a series that already exists panics.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	r.get(name, help, kindCounter, nil).setFunc(r, labels, counterFunc(fn))
+}
+
+// GaugeFunc is CounterFunc for a gauge series.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
+	r.get(name, help, kindGauge, nil).setFunc(r, labels, gaugeFunc(fn))
 }
 
 // Histogram returns (creating on first use) the histogram series for
@@ -252,6 +284,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				b = fmt.Appendf(b, "%s%s %d\n", f.name, suffix, m.Value())
 			case *Gauge:
 				b = fmt.Appendf(b, "%s%s %d\n", f.name, suffix, m.Value())
+			case counterFunc:
+				b = fmt.Appendf(b, "%s%s %d\n", f.name, suffix, m())
+			case gaugeFunc:
+				b = fmt.Appendf(b, "%s%s %d\n", f.name, suffix, m())
 			case *Histogram:
 				b = appendHistogram(b, f.name, rs.key, m)
 			}

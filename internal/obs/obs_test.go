@@ -46,6 +46,44 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("m", "")
 }
 
+// TestRegistryFuncSeries: func-backed series render the function's value
+// at render time, sort beside ordinary series of their family, and a
+// second registration of the same (name, labels) panics.
+func TestRegistryFuncSeries(t *testing.T) {
+	r := NewRegistry()
+	var hits uint64
+	depth := int64(-1)
+	r.CounterFunc("hits_total", "Hits.", func() uint64 { return hits }, L("tier", "memory"))
+	r.Counter("hits_total", "", L("tier", "disk")).Add(2)
+	r.GaugeFunc("depth", "Depth.", func() int64 { return depth })
+	hits, depth = 7, 3
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP depth Depth.\n# TYPE depth gauge\ndepth 3\n" +
+		"# HELP hits_total Hits.\n# TYPE hits_total counter\n" +
+		"hits_total{tier=\"disk\"} 2\nhits_total{tier=\"memory\"} 7\n"
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	for name, register := range map[string]func(){
+		"counter func twice": func() { r.CounterFunc("hits_total", "", func() uint64 { return 0 }, L("tier", "memory")) },
+		"func over counter":  func() { r.CounterFunc("hits_total", "", func() uint64 { return 0 }, L("tier", "disk")) },
+		"gauge func twice":   func() { r.GaugeFunc("depth", "", func() int64 { return 0 }) },
+		"kind mismatch":      func() { r.GaugeFunc("hits_total", "", func() int64 { return 0 }, L("tier", "x")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
 func TestRegistryConcurrentCreate(t *testing.T) {
 	// Race test: concurrent get-or-create plus rendering.
 	r := NewRegistry()

@@ -17,7 +17,7 @@ const benchJobs = 64
 func BenchmarkMapSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := Map(benchJobs, Options{Workers: 1}, func(index int) (int, error) {
+		out, err := MapCtx(context.Background(), benchJobs, Options{Workers: 1}, func(_ context.Context, index int) (int, error) {
 			return index, nil
 		})
 		if err != nil || len(out) != benchJobs {
@@ -31,7 +31,7 @@ func BenchmarkMapSerial(b *testing.B) {
 func BenchmarkMapParallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := Map(benchJobs, Options{Workers: 4}, func(index int) (int, error) {
+		out, err := MapCtx(context.Background(), benchJobs, Options{Workers: 4}, func(_ context.Context, index int) (int, error) {
 			return index, nil
 		})
 		if err != nil || len(out) != benchJobs {
@@ -40,8 +40,8 @@ func BenchmarkMapParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMapAllCtxParallel adds the per-job error slots and context
-// plumbing that MapAllCtx layers over Map's happy path.
+// BenchmarkMapAllCtxParallel adds the per-job error slots that MapAllCtx
+// returns beside MapCtx's happy path.
 func BenchmarkMapAllCtxParallel(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -11,11 +11,12 @@
 // run: results are ordered by submission index, never by completion time,
 // and all randomness stays inside the per-job generators.
 //
-// Run lifecycle: the context-aware variants (MapCtx, MapAllCtx, DoCtx)
-// stop handing out job indices once the context is cancelled — jobs not
-// yet started report ctx.Err() — and every worker recovers panics into a
-// *PanicError carrying the job index and a truncated stack, so one bad
-// configuration in a long sweep reports instead of killing its siblings.
+// Every entry point (MapCtx, MapAllCtx, DoCtx) takes the batch context
+// first. Run lifecycle: the pool stops handing out job indices once the
+// context is cancelled — jobs not yet started report ctx.Err() — and
+// every worker recovers panics into a *PanicError carrying the job index
+// and a truncated stack, so one bad configuration in a long sweep reports
+// instead of killing its siblings.
 package sched
 
 import (
@@ -87,20 +88,14 @@ func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, ind
 	return job(ctx, i)
 }
 
-// Map runs job(0..n-1) on a bounded worker pool and returns the results in
-// submission order. Every job runs regardless of other jobs' failures; the
-// returned error is the lowest-index job error (nil if all succeeded), so a
-// parallel run reports the same error a serial loop would have hit first.
-func Map[T any](n int, opt Options, job func(index int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, opt,
-		func(_ context.Context, i int) (T, error) { return job(i) })
-}
-
-// MapCtx is Map with a batch context: cancellation stops new jobs from
-// starting (already-running jobs finish, or observe ctx themselves), and
-// jobs that never started report ctx.Err() at their index. The returned
-// error is still the lowest-index per-job error, so a batch cancelled
-// before any job failed returns ctx.Err().
+// MapCtx runs job(0..n-1) on a bounded worker pool and returns the results
+// in submission order. Every job runs regardless of other jobs' failures;
+// the returned error is the lowest-index job error (nil if all succeeded),
+// so a parallel run reports the same error a serial loop would have hit
+// first. Cancelling ctx stops new jobs from starting (already-running jobs
+// finish, or observe ctx themselves), and jobs that never started report
+// ctx.Err() at their index, so a batch cancelled before any job failed
+// returns ctx.Err().
 func MapCtx[T any](ctx context.Context, n int, opt Options, job func(ctx context.Context, index int) (T, error)) ([]T, error) {
 	out, errs := MapAllCtx(ctx, n, opt, job)
 	for _, err := range errs {
@@ -109,12 +104,6 @@ func MapCtx[T any](ctx context.Context, n int, opt Options, job func(ctx context
 		}
 	}
 	return out, nil
-}
-
-// MapAll is Map with per-job error capture: errs[i] is job i's error.
-func MapAll[T any](n int, opt Options, job func(index int) (T, error)) (out []T, errs []error) {
-	return MapAllCtx(context.Background(), n, opt,
-		func(_ context.Context, i int) (T, error) { return job(i) })
 }
 
 // MapAllCtx is MapCtx with per-job error capture: errs[i] is job i's
@@ -180,16 +169,8 @@ func MapAllCtx[T any](ctx context.Context, n int, opt Options, job func(ctx cont
 	return out, errs
 }
 
-// Do runs independent thunks (no results) and returns the lowest-index
-// error.
-func Do(opt Options, jobs ...func() error) error {
-	_, err := Map(len(jobs), opt, func(i int) (struct{}, error) {
-		return struct{}{}, jobs[i]()
-	})
-	return err
-}
-
-// DoCtx is Do with a batch context (MapCtx semantics).
+// DoCtx runs independent thunks (no results) with MapCtx semantics and
+// returns the lowest-index error.
 func DoCtx(ctx context.Context, opt Options, jobs ...func(context.Context) error) error {
 	_, err := MapCtx(ctx, len(jobs), opt, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, jobs[i](ctx)

@@ -13,7 +13,7 @@ import (
 
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 0} {
-		out, err := Map(50, Options{Workers: workers}, func(i int) (int, error) {
+		out, err := MapCtx(context.Background(), 50, Options{Workers: workers}, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -31,7 +31,7 @@ func TestMapFirstError(t *testing.T) {
 	err3 := errors.New("three")
 	err7 := errors.New("seven")
 	ran := make([]atomic.Bool, 10)
-	_, err := Map(10, Options{Workers: 4}, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 10, Options{Workers: 4}, func(_ context.Context, i int) (int, error) {
 		ran[i].Store(true)
 		switch i {
 		case 7:
@@ -52,7 +52,7 @@ func TestMapFirstError(t *testing.T) {
 }
 
 func TestMapAllPerJobErrors(t *testing.T) {
-	out, errs := MapAll(6, Options{Workers: 3}, func(i int) (string, error) {
+	out, errs := MapAllCtx(context.Background(), 6, Options{Workers: 3}, func(_ context.Context, i int) (string, error) {
 		if i%2 == 1 {
 			return "", fmt.Errorf("odd %d", i)
 		}
@@ -74,7 +74,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	var inFlight, peak atomic.Int64
 	gate := make(chan struct{})
 	var once sync.Once
-	_, err := Map(24, Options{Workers: workers}, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 24, Options{Workers: workers}, func(_ context.Context, i int) (int, error) {
 		n := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -101,14 +101,14 @@ func TestOnDoneCoversEveryJob(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]error{}
 	wantErr := errors.New("e")
-	_, _ = Map(12, Options{
+	_, _ = MapCtx(context.Background(), 12, Options{
 		Workers: 4,
 		OnDone: func(i int, err error) {
 			mu.Lock()
 			seen[i] = err
 			mu.Unlock()
 		},
-	}, func(i int) (int, error) {
+	}, func(_ context.Context, i int) (int, error) {
 		if i == 5 {
 			return 0, wantErr
 		}
@@ -133,21 +133,22 @@ func TestWorkersResolution(t *testing.T) {
 
 func TestDo(t *testing.T) {
 	var a, b atomic.Bool
-	err := Do(Options{Workers: 2},
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
+	ctx := context.Background()
+	err := DoCtx(ctx, Options{Workers: 2},
+		func(context.Context) error { a.Store(true); return nil },
+		func(context.Context) error { b.Store(true); return nil },
 	)
 	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
+		t.Fatalf("DoCtx: err=%v a=%v b=%v", err, a.Load(), b.Load())
 	}
 	want := errors.New("x")
-	if err := Do(Options{}, func() error { return want }); err != want {
-		t.Fatalf("Do error = %v", err)
+	if err := DoCtx(ctx, Options{}, func(context.Context) error { return want }); err != want {
+		t.Fatalf("DoCtx error = %v", err)
 	}
 }
 
 func TestEmptyBatch(t *testing.T) {
-	out, err := Map(0, Options{}, func(i int) (int, error) { return 0, nil })
+	out, err := MapCtx(context.Background(), 0, Options{}, func(_ context.Context, i int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v %v", out, err)
 	}
@@ -242,7 +243,7 @@ func TestMapCtxCancelPrompt(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		out, errs := MapAll(10, Options{Workers: workers}, func(i int) (string, error) {
+		out, errs := MapAllCtx(context.Background(), 10, Options{Workers: workers}, func(_ context.Context, i int) (string, error) {
 			ran.Add(1)
 			if i == 6 {
 				panic(fmt.Sprintf("bad config %d", i))
@@ -287,7 +288,7 @@ func TestPanicStackTruncated(t *testing.T) {
 		}
 		deep(n - 1)
 	}
-	_, errs := MapAll(1, Options{Workers: 1}, func(int) (int, error) {
+	_, errs := MapAllCtx(context.Background(), 1, Options{Workers: 1}, func(context.Context, int) (int, error) {
 		deep(500)
 		return 0, nil
 	})

@@ -80,9 +80,9 @@ func TestLoadBurstMetrics(t *testing.T) {
 	// Wait until the burst has settled into its steady state: 3 admitted
 	// (1 simulating + 2 queued), 7 shed.
 	deadline := time.Now().Add(5 * time.Second)
-	for !(len(s.queue) == 3 && s.rejected.Load() == burst-3) {
+	for !(len(s.queue) == 3 && s.rejectedShed.Value() == burst-3) {
 		if time.Now().After(deadline) {
-			t.Fatalf("burst never settled: queued=%d rejected=%d", len(s.queue), s.rejected.Load())
+			t.Fatalf("burst never settled: queued=%d rejected=%d", len(s.queue), s.rejectedShed.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -115,9 +115,6 @@ func TestLoadBurstMetrics(t *testing.T) {
 	if got := s.rejectedShed.Value(); got != uint64(shed) {
 		t.Errorf("shed counter = %d, want %d", got, shed)
 	}
-	if got := s.rejected.Load(); got != uint64(shed) {
-		t.Errorf("legacy rejected counter = %d, want %d", got, shed)
-	}
 
 	// Drain exactly as cmd/simd does on SIGINT, then audit the exposition.
 	s.DrainStarted()
@@ -134,6 +131,9 @@ func TestLoadBurstMetrics(t *testing.T) {
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("sparc64v_rejected_total %d\n", shed); !strings.Contains(b.String(), want) {
+		t.Errorf("legacy rejected counter: exposition lacks %q", want)
 	}
 	assertSaneExposition(t, b.String())
 }
@@ -175,9 +175,6 @@ func assertSaneExposition(t *testing.T, exposition string) {
 //
 //	go test ./internal/server -run Golden -update
 func TestMetricsGoldenExposition(t *testing.T) {
-	// The hand-emitted block reads the process-global simulation meter;
-	// reset it so earlier real-simulation tests don't leak into the page.
-	core.MeterReset()
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{Workers: 1, Registry: reg})
 	s.simulate = func(ctx context.Context, m *core.Model, p workload.Profile, opt core.RunOptions) (system.Report, error) {

@@ -39,6 +39,11 @@ import (
 // the handlers translate it to 429.
 var ErrOverloaded = errors.New("server overloaded: queue full")
 
+// MaxBodyBytes bounds a POST body, here and at the gateway; run and
+// estimate requests are a few hundred bytes, so a larger body is a client
+// error (413), never a resource commitment.
+const MaxBodyBytes = 1 << 20
+
 // Config parameterizes a Server.
 type Config struct {
 	// Cache serves repeated runs; required.
@@ -55,10 +60,12 @@ type Config struct {
 	// DefaultInsts is the per-CPU trace length when a request does not
 	// specify one; 0 means 1,000,000 (the repo's standard sweep length).
 	DefaultInsts int
-	// Registry receives the server's request metrics and is rendered on
-	// /metrics after the hand-emitted series; nil means obs.Default(), so
-	// the production service also exposes the sched/runcache/metamorph
-	// series. Tests pass a fresh registry for deterministic output.
+	// Registry holds every series the server exports and is the whole
+	// /metrics page; nil means obs.Default(), so the production service
+	// also exposes the process-wide core/sched/runcache/metamorph series.
+	// Each Server registers func-backed series on it, so two Servers
+	// cannot share one registry: tests pass a fresh registry each, which
+	// also keeps their pages deterministic.
 	Registry *obs.Registry
 	// NodeID names this node in a cluster; when set it is echoed as the
 	// X-Node header on every response so the gateway (and operators) can
@@ -97,11 +104,6 @@ type Server struct {
 	queue   chan struct{}
 	working chan struct{}
 
-	runRequests      atomic.Uint64
-	studyRequests    atomic.Uint64
-	estimateRequests atomic.Uint64
-	rejected         atomic.Uint64
-
 	// cal is the embedded analytic calibration behind POST /v1/estimate;
 	// the fast tier is pure arithmetic over it, so estimate requests never
 	// touch the admission queue.
@@ -112,8 +114,11 @@ type Server struct {
 	reg *obs.Registry
 	now func() time.Time
 
-	rejectedShed *obs.Counter
-	drains       *obs.Counter
+	runRequests      *obs.Counter
+	studyRequests    *obs.Counter
+	estimateRequests *obs.Counter
+	rejectedShed     *obs.Counter
+	drains           *obs.Counter
 
 	// simulate runs one uncached simulation; tests substitute a scripted
 	// implementation to pin admission and drain behavior without
@@ -169,6 +174,7 @@ func New(c Config) (*Server, error) {
 			return m.RunContext(ctx, p, opt)
 		},
 	}
+	s.registerPageSeries()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
@@ -280,7 +286,6 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		s.rejected.Add(1)
 		s.rejectedShed.Inc()
 		return nil, ErrOverloaded
 	}
@@ -398,18 +403,15 @@ func ResolveRun(base config.Config, defaultInsts int, req RunRequest) (ResolvedR
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.runRequests.Add(1)
+	s.runRequests.Inc()
 	if s.draining.Load() {
 		// A draining node finishes in-flight work but takes no new runs;
 		// 503 tells the gateway to fail over to the next replica.
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rr, err := ResolveRun(s.base, s.defaultInsts, req)
@@ -466,17 +468,14 @@ type EstimateRequest struct {
 // binary) gets 503, because serving numbers fitted against a different
 // simulator would be silently wrong.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.estimateRequests.Add(1)
+	s.estimateRequests.Inc()
 	outcomeCounter := func(outcome string) *obs.Counter {
 		return s.reg.Counter("sparc64v_server_estimates_total",
 			"POST /v1/estimate outcomes: served, or fallback-to-/v1/run.",
 			obs.L("outcome", outcome))
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req EstimateRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	prof, ok := workload.ByName(req.Workload)
@@ -539,7 +538,7 @@ type StudyResult struct {
 }
 
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	s.studyRequests.Add(1)
+	s.studyRequests.Inc()
 	id := r.PathValue("id")
 	var study expt.Study
 	found := false
@@ -620,61 +619,58 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	cs := s.cache.Stats()
-	instrs, cycles, runs := core.Meter()
-	inflight := len(s.working)
-	queued := len(s.queue) - inflight
-	if queued < 0 {
-		queued = 0
+// registerPageSeries creates the per-endpoint request counters at 0 and
+// exposes state the server and its cache already own as func-backed
+// series, read when /metrics renders: the legacy rejected count (the
+// sparc64v_http_shed_total value), the run-cache tier counters, the
+// in-memory entry count, and admission occupancy.
+func (s *Server) registerPageSeries() {
+	requests := func(endpoint string) *obs.Counter {
+		return s.reg.Counter("sparc64v_requests_total",
+			"HTTP requests received per endpoint.", obs.L("endpoint", endpoint))
 	}
+	s.runRequests, s.studyRequests, s.estimateRequests = requests("run"), requests("study"), requests("estimate")
+	s.reg.CounterFunc("sparc64v_rejected_total", "Requests shed with 429 because the queue was full.",
+		s.rejectedShed.Value)
+	const hitsHelp = "Run-cache hits by tier."
+	s.reg.CounterFunc("sparc64v_cache_hits_total", hitsHelp,
+		func() uint64 { return s.cache.Stats().MemoryHits }, obs.L("tier", "memory"))
+	s.reg.CounterFunc("sparc64v_cache_hits_total", hitsHelp,
+		func() uint64 { return s.cache.Stats().DiskHits }, obs.L("tier", "disk"))
+	s.reg.CounterFunc("sparc64v_cache_misses_total", "Run-cache misses (simulations started).",
+		func() uint64 { return s.cache.Stats().Misses })
+	s.reg.CounterFunc("sparc64v_cache_shared_total", "Requests that joined an in-flight identical run.",
+		func() uint64 { return s.cache.Stats().Shared })
+	s.reg.CounterFunc("sparc64v_cache_corrupt_total", "Disk entries rejected by integrity checks.",
+		func() uint64 { return s.cache.Stats().Corrupt })
+	s.reg.GaugeFunc("sparc64v_cache_entries", "Entries in the in-memory tier.",
+		func() int64 { return int64(s.cache.Len()) })
+	s.reg.GaugeFunc("sparc64v_inflight_runs", "Simulations currently running.",
+		func() int64 { return int64(len(s.working)) })
+	s.reg.GaugeFunc("sparc64v_queue_depth", "Admitted jobs waiting for a worker slot.",
+		func() int64 { return int64(max(len(s.queue)-len(s.working), 0)) })
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b []byte
-	emit := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-	emit("# HELP sparc64v_requests_total HTTP requests received per endpoint.\n")
-	emit("# TYPE sparc64v_requests_total counter\n")
-	emit("sparc64v_requests_total{endpoint=\"estimate\"} %d\n", s.estimateRequests.Load())
-	emit("sparc64v_requests_total{endpoint=\"run\"} %d\n", s.runRequests.Load())
-	emit("sparc64v_requests_total{endpoint=\"study\"} %d\n", s.studyRequests.Load())
-	emit("# HELP sparc64v_rejected_total Requests shed with 429 because the queue was full.\n")
-	emit("# TYPE sparc64v_rejected_total counter\n")
-	emit("sparc64v_rejected_total %d\n", s.rejected.Load())
-	emit("# HELP sparc64v_cache_hits_total Run-cache hits by tier.\n")
-	emit("# TYPE sparc64v_cache_hits_total counter\n")
-	emit("sparc64v_cache_hits_total{tier=\"memory\"} %d\n", cs.MemoryHits)
-	emit("sparc64v_cache_hits_total{tier=\"disk\"} %d\n", cs.DiskHits)
-	emit("# HELP sparc64v_cache_misses_total Run-cache misses (simulations started).\n")
-	emit("# TYPE sparc64v_cache_misses_total counter\n")
-	emit("sparc64v_cache_misses_total %d\n", cs.Misses)
-	emit("# HELP sparc64v_cache_shared_total Requests that joined an in-flight identical run.\n")
-	emit("# TYPE sparc64v_cache_shared_total counter\n")
-	emit("sparc64v_cache_shared_total %d\n", cs.Shared)
-	emit("# HELP sparc64v_cache_corrupt_total Disk entries rejected by integrity checks.\n")
-	emit("# TYPE sparc64v_cache_corrupt_total counter\n")
-	emit("sparc64v_cache_corrupt_total %d\n", cs.Corrupt)
-	emit("# HELP sparc64v_cache_entries Entries in the in-memory tier.\n")
-	emit("# TYPE sparc64v_cache_entries gauge\n")
-	emit("sparc64v_cache_entries %d\n", s.cache.Len())
-	emit("# HELP sparc64v_inflight_runs Simulations currently running.\n")
-	emit("# TYPE sparc64v_inflight_runs gauge\n")
-	emit("sparc64v_inflight_runs %d\n", inflight)
-	emit("# HELP sparc64v_queue_depth Admitted jobs waiting for a worker slot.\n")
-	emit("# TYPE sparc64v_queue_depth gauge\n")
-	emit("sparc64v_queue_depth %d\n", queued)
-	emit("# HELP sparc64v_simulated_instructions_total Instructions committed by simulations in this process.\n")
-	emit("# TYPE sparc64v_simulated_instructions_total counter\n")
-	emit("sparc64v_simulated_instructions_total %d\n", instrs)
-	emit("# HELP sparc64v_simulated_cycles_total Cycles simulated in this process.\n")
-	emit("# TYPE sparc64v_simulated_cycles_total counter\n")
-	emit("sparc64v_simulated_cycles_total %d\n", cycles)
-	emit("# HELP sparc64v_simulated_runs_total Simulations completed in this process.\n")
-	emit("# TYPE sparc64v_simulated_runs_total counter\n")
-	emit("sparc64v_simulated_runs_total %d\n", runs)
-	w.Write(b)
-	// The obs registry follows the hand-emitted block: request histograms,
-	// per-study/per-workload counters, and (on the default registry) the
-	// sched/runcache/metamorph series.
 	s.reg.WritePrometheus(w)
+}
+
+// decodeBody strictly decodes a POST body of at most MaxBodyBytes into v.
+// On failure it writes the client error — 413 for an oversized body, 400
+// otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxBodyBytes)
+		} else {
+			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
+		return false
+	}
+	return true
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sparc64v/internal/core"
+	"sparc64v/internal/obs"
 	"sparc64v/internal/runcache"
 	"sparc64v/internal/system"
 	"sparc64v/internal/workload"
@@ -41,6 +42,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 			t.Fatal(err)
 		}
 		cfg.Cache = c
+	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -135,6 +139,40 @@ func TestRunEndpointValidation(t *testing.T) {
 		resp, b := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, b)
+		}
+	}
+}
+
+// TestBodySizeLimit pins the POST body bound on both JSON endpoints: a
+// valid request padded to exactly MaxBodyBytes is served, one byte more is
+// 413, and neither is ever a 5xx. The padding leads the JSON value, so the
+// decoder must read the whole body before it can succeed.
+func TestBodySizeLimit(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.simulate = func(ctx context.Context, m *core.Model, p workload.Profile, opt core.RunOptions) (system.Report, error) {
+		return fakeReport(uint64(opt.Seed)), nil
+	}
+	pad := func(body string, size int) string {
+		return strings.Repeat(" ", size-len(body)) + body
+	}
+	for _, tc := range []struct {
+		path, body string
+		size, want int
+	}{
+		{"/v1/run", `{"workload":"specint95","seed":1}`, MaxBodyBytes, http.StatusOK},
+		{"/v1/run", `{"workload":"specint95","seed":1}`, MaxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/estimate", `{"workload":"specint95"}`, MaxBodyBytes, http.StatusOK},
+		{"/v1/estimate", `{"workload":"specint95"}`, MaxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(pad(tc.body, tc.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s with a %d-byte body: status %d (%s), want %d",
+				tc.path, tc.size, resp.StatusCode, b, tc.want)
 		}
 	}
 }
@@ -265,7 +303,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	if got := started.Load(); got != 1 {
 		t.Fatalf("rejected request started a simulation: %d starts", got)
 	}
-	if got := s.rejected.Load(); got != 1 {
+	if got := s.rejectedShed.Value(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
 
@@ -411,7 +449,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Cache: cache, Workers: 1})
+	s, err := New(Config{Cache: cache, Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,14 +49,19 @@ if [ "$(echo "$R1" | grep -v '"cache"')" != "$(echo "$R2" | grep -v '"cache"')" 
   exit 1
 fi
 
+# The page is the obs registry alone: the server's request and cache
+# series, plus the process-wide simulation meter from internal/core. Each
+# wanted line must match a whole exposition line.
 METRICS="$(curl -fsS "http://$ADDR/metrics")"
 for want in \
   'sparc64v_cache_hits_total{tier="memory"} 1' \
   'sparc64v_cache_misses_total 1' \
   'sparc64v_requests_total{endpoint="run"} 2' \
+  'sparc64v_requests_total{endpoint="estimate"} 0' \
   'sparc64v_rejected_total 0' \
-  'sparc64v_inflight_runs 0'; do
-  echo "$METRICS" | grep -qF "$want" || {
+  'sparc64v_inflight_runs 0' \
+  'sparc64v_simulated_runs_total 1'; do
+  grep -qxF "$want" <<<"$METRICS" || {
     echo "smoke: /metrics missing '$want':" >&2; echo "$METRICS" >&2; exit 1
   }
 done

@@ -44,6 +44,9 @@ type (
 	TraceRecord = trace.Record
 	// TraceSource supplies trace records to a simulated CPU.
 	TraceSource = trace.Source
+	// Experiment is one named study of the evaluation; Run(ctx, opt)
+	// produces its tables and figures.
+	Experiment = expt.Study
 	// ExperimentResult is one reproduced table or figure.
 	ExperimentResult = expt.Result
 	// AccuracyStudy is the Figure 19 model-accuracy series.
@@ -89,30 +92,16 @@ func NewTrace(p Profile, seed int64, cpu int) TraceSource {
 	return workload.New(p, seed, cpu)
 }
 
-// Experiment harnesses, one per paper artifact.
+// Experiment harnesses.
 var (
 	// Table1 reports the base machine parameters.
 	Table1 = expt.Table1
-	// Fig07 runs the benchmark-characterization breakdown.
-	Fig07 = expt.Fig07
-	// Fig08 runs the issue-width study.
-	Fig08 = expt.Fig08
-	// Fig09and10 runs the BHT geometry study.
-	Fig09and10 = expt.Fig09and10
-	// Fig11to13 runs the L1 geometry study.
-	Fig11to13 = expt.Fig11to13
-	// Fig14and15 runs the L2 geometry study (incl. TPC-C 16P).
-	Fig14and15 = expt.Fig14and15
-	// Fig16and17 runs the hardware-prefetch study.
-	Fig16and17 = expt.Fig16and17
-	// Fig18 runs the reservation-station topology study.
-	Fig18 = expt.Fig18
-	// Fig19 runs the model-accuracy study.
-	Fig19 = expt.Fig19
-	// AllExperiments runs everything in presentation order.
-	AllExperiments = expt.All
-	// AllExperimentsContext is AllExperiments with a cancellation point:
-	// completed studies still render, missing ones are marked incomplete.
+	// Experiments lists every study of the evaluation in presentation
+	// order, one per paper artifact group ("Figure 7", "Figures 9-10", ...).
+	Experiments = expt.Studies
+	// AllExperimentsContext runs every experiment in presentation order;
+	// on cancellation completed studies still render and missing ones are
+	// marked incomplete.
 	AllExperimentsContext = expt.AllContext
 )
 

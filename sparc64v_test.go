@@ -69,3 +69,18 @@ func TestPublicExperimentTable1(t *testing.T) {
 		t.Fatal("empty Table 1")
 	}
 }
+
+// TestPublicExperiments: the facade's study registry lists the evaluation
+// in presentation order, and each entry runs through its one call form.
+func TestPublicExperiments(t *testing.T) {
+	es := Experiments()
+	if len(es) == 0 || es[0].Name != "Table 1" {
+		t.Fatalf("Experiments() does not open with Table 1: %d entries", len(es))
+	}
+	var e Experiment = es[0]
+	rs, err := e.Run(context.Background(), RunOptions{})
+	want := Table1()
+	if err != nil || len(rs) != 1 || rs[0].String() != want.String() {
+		t.Fatalf("Table 1 through Experiments(): %d results, err %v", len(rs), err)
+	}
+}
