@@ -48,7 +48,6 @@ func main() {
 		workloadName = flag.String("workload", "specint2000", "workload name")
 		insts        = flag.Int("insts", 300_000, "instructions per run")
 		seed         = flag.Int64("seed", 42, "workload seed")
-		parallel     = flag.Bool("parallel", true, "run independent simulations concurrently")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 0, "abort the workflow after this long (0 = no limit)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed run cache directory (empty = no cache)")
@@ -69,9 +68,6 @@ func main() {
 		defer cancel()
 	}
 	opt := core.RunOptions{Insts: *insts, Seed: *seed, Workers: *workers, Batch: *batch}
-	if !*parallel {
-		opt.Workers = 1
-	}
 	// Sampling accelerates the ladder and trend sections; the reverse-tracer
 	// round trip below is a cycle-exact comparison and always runs full.
 	var sampErr error

@@ -3,8 +3,8 @@
 // (the source of EXPERIMENTS.md).
 //
 // The studies are independent simulations, so the sweep fans out onto the
-// sched worker pool by default (-parallel=false or -workers 1 restores the
-// serial sweep; output is byte-identical either way). The stderr summary
+// sched worker pool by default (-workers 1 restores the serial sweep;
+// output is byte-identical either way). The stderr summary
 // reports per-study wall time and the sweep's effective simulated
 // instructions/second — the modern counterpart of the paper's "7.8K
 // instructions per second on a 1-GHz Pentium III" model-speed quote.
@@ -48,7 +48,6 @@ func main() {
 		insts    = flag.Int("insts", 1_000_000, "instructions per CPU per run")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown")
-		parallel = flag.Bool("parallel", true, "run independent simulations concurrently")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory (empty = no cache)")
@@ -67,9 +66,6 @@ func main() {
 	}
 
 	opt := core.RunOptions{Insts: *insts, Seed: *seed, Workers: *workers, Batch: *batch}
-	if !*parallel {
-		opt.Workers = 1
-	}
 	var err error
 	if opt.Sample, err = config.ParseSampling(*sample, *insts); err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)

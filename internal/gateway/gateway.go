@@ -1,13 +1,13 @@
 // Package gateway is the cluster front door: a thin HTTP proxy that
 // routes experiment requests across a pool of simd workers.
 //
-// Placement is by consistent hashing of the run's content address — the
-// same runcache key the workers cache under — so identical requests
-// always land on the same node and the cluster deduplicates simulations
-// without any coordination: ring affinity concentrates a key on one
-// worker, that worker's in-process singleflight collapses concurrent
-// identical requests, and the peer-cache tier covers the failover case
-// where a key's replica moved.
+// Placement is by rendezvous hashing (internal/ring) of the run's
+// content address — the same runcache key the workers cache under — so
+// identical requests always land on the same node and the cluster
+// deduplicates simulations without any coordination: ring affinity
+// concentrates a key on one worker, that worker's in-process
+// singleflight collapses concurrent identical requests, and the
+// peer-cache tier covers the failover case where a key's replica moved.
 //
 // The gateway holds no state worth preserving: routing tables are
 // derived from configuration, health is re-observed continuously, and
@@ -82,19 +82,14 @@ func ParseWorkers(s string) ([]Worker, error) {
 type Config struct {
 	// Workers is the pool; required, at least one.
 	Workers []Worker
-	// Base and DefaultInsts must match the workers' configuration: the
-	// gateway resolves each request with server.ResolveRun to compute
-	// the same cache key the worker will, and routes on it. Zero values
-	// mean config.Base() and 1,000,000 — the worker defaults.
-	Base         config.Config
+	// DefaultInsts must match the workers' setting: the gateway resolves
+	// each request against config.Base() with server.ResolveRun to
+	// compute the same cache key the worker will, and routes on it. 0
+	// means 1,000,000 — the worker default.
 	DefaultInsts int
 	// RetryBudget caps worker attempts per request; 0 means every
 	// replica once.
 	RetryBudget int
-	// LoadFactor is the bounded-load spill threshold (a node above
-	// ceil(factor·mean) of in-flight gateway requests is skipped while a
-	// less-loaded replica exists); 0 means 1.25.
-	LoadFactor float64
 	// Client performs proxied requests; nil means a dedicated client
 	// with no overall timeout (simulations are long; per-request bounds
 	// come from the client's context).
@@ -120,10 +115,8 @@ type workerState struct {
 type Gateway struct {
 	ring        *ring.Ring
 	workers     map[string]*workerState
-	base        config.Config
 	insts       int
 	retryBudget int
-	loadFactor  float64
 	client      *http.Client
 	reg         *obs.Registry
 	healthEvery time.Duration
@@ -168,21 +161,15 @@ func New(c Config) (*Gateway, error) {
 		workers[w.Name] = ws
 		names = append(names, w.Name)
 	}
-	rg, err := ring.New(names, ring.Options{})
+	rg, err := ring.New(names)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
-	}
-	if c.Base.Name == "" {
-		c.Base = config.Base()
 	}
 	if c.DefaultInsts <= 0 {
 		c.DefaultInsts = 1_000_000
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = len(c.Workers)
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -197,10 +184,8 @@ func New(c Config) (*Gateway, error) {
 		ring:        rg,
 		keyFlights:  make(map[string]*keyFlight),
 		workers:     workers,
-		base:        c.Base,
 		insts:       c.DefaultInsts,
 		retryBudget: c.RetryBudget,
-		loadFactor:  c.LoadFactor,
 		client:      c.Client,
 		reg:         c.Registry,
 		healthEvery: c.HealthEvery,
@@ -289,7 +274,6 @@ func (g *Gateway) ProbeHealth(ctx context.Context) {
 			continue
 		}
 		resp, err := g.client.Do(req)
-		cancel()
 		switch {
 		case err != nil:
 			ws.healthy.Store(false)
@@ -303,9 +287,12 @@ func (g *Gateway) ProbeHealth(ctx context.Context) {
 			ws.healthy.Store(false)
 		}
 		if err == nil {
+			// Drain and close before cancelling: cancelling first tears
+			// down the keep-alive connection, so every probe would dial.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
+		cancel()
 		if ws.healthy.Load() && !ws.draining.Load() {
 			healthy++
 		}
@@ -360,6 +347,12 @@ func (g *Gateway) releaseKey(key string) {
 // to a sibling replica is worth the colder cache.
 const spillFloor = 8
 
+// loadFactor sets the bounded-load spill threshold: a node whose in-flight
+// depth exceeds loadFactor × the available nodes' mean (this request
+// included), and is at least spillFloor, is passed over while a
+// less-loaded replica exists.
+const loadFactor = 1.25
+
 // candidates returns worker names in the order the request should try
 // them: the key's ring sequence, available nodes first, rotated so the
 // first available node under the bounded-load threshold leads. Nodes
@@ -384,7 +377,7 @@ func (g *Gateway) candidates(key string) []string {
 	}
 	// Bounded load over the gateway's own in-flight view: spill past a
 	// hot primary to the next replica, never shed (workers own 429).
-	bound := int(g.loadFactor*float64(total+1)/float64(len(avail))) + 1
+	bound := int(loadFactor*float64(total+1)/float64(len(avail))) + 1
 	if bound < spillFloor {
 		bound = spillFloor
 	}
@@ -414,7 +407,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	rr, err := server.ResolveRun(g.base, g.insts, req)
+	rr, err := server.ResolveRun(config.Base(), g.insts, req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -619,7 +612,7 @@ func (g *Gateway) Status() []WorkerView {
 // ResolveKey computes the routing key for a run request body — exposed
 // so tests and the cluster-replay check can predict placement.
 func (g *Gateway) ResolveKey(req server.RunRequest) (string, error) {
-	rr, err := server.ResolveRun(g.base, g.insts, req)
+	rr, err := server.ResolveRun(config.Base(), g.insts, req)
 	if err != nil {
 		return "", err
 	}

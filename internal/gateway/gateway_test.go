@@ -1,10 +1,14 @@
 package gateway
 
 import (
+	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sparc64v/internal/obs"
@@ -54,6 +58,90 @@ func TestBodySizeLimit(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s with a %d-byte body: status %d (%s), want %d",
 				tc.path, tc.size, resp.StatusCode, b, tc.want)
+		}
+	}
+}
+
+// TestProbeHealthReusesConnection pins keep-alive reuse across health
+// probes: a probe must finish with the response body before releasing
+// its context, or every probe tears down its connection and dials anew.
+func TestProbeHealthReusesConnection(t *testing.T) {
+	var dials atomic.Int64
+	worker := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "ok\n")
+	}))
+	worker.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	worker.Start()
+	defer worker.Close()
+	gw, err := New(Config{
+		Workers:  []Worker{{Name: "w0", URL: worker.URL}},
+		Client:   &http.Client{Transport: &http.Transport{}},
+		Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		gw.ProbeHealth(context.Background())
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("5 health probes opened %d connections, want 1", n)
+	}
+	if st := gw.Status(); !st[0].Healthy || st[0].Draining {
+		t.Fatalf("probed worker view = %+v, want healthy and not draining", st[0])
+	}
+}
+
+// TestCandidatesBoundedLoad is a table test of the gateway's one
+// bounded-load rule. The workers' URLs are never dialled: each case sets
+// the gateway's view of the pool (in-flight depth, health, drain) and
+// checks the order candidates returns, in terms of the key's ring sequence.
+func TestCandidatesBoundedLoad(t *testing.T) {
+	gw, err := New(Config{
+		Workers: []Worker{
+			{Name: "n0", URL: "http://n0.invalid"},
+			{Name: "n1", URL: "http://n1.invalid"},
+			{Name: "n2", URL: "http://n2.invalid"},
+		},
+		Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "key-01"
+	seq := gw.ring.Sequence(key)
+	a, b, c := seq[0], seq[1], seq[2]
+	type view struct {
+		inflight           int64
+		unhealthy, drained bool
+	}
+	for _, tc := range []struct {
+		name string
+		pool map[string]view // by ring position; absent means idle and healthy
+		want []string
+	}{
+		{"every node below spillFloor", map[string]view{a: {inflight: spillFloor - 1}, b: {inflight: 3}}, []string{a, b, c}},
+		{"primary at the floor", map[string]view{a: {inflight: spillFloor}}, []string{b, c, a}},
+		{"primary above the bound", map[string]view{a: {inflight: 20}, b: {inflight: 2}}, []string{b, c, a}},
+		{"primary and first replica above the bound", map[string]view{a: {inflight: 20}, b: {inflight: 20}}, []string{c, a, b}},
+		{"equal load stays under the bound", map[string]view{a: {inflight: 30}, b: {inflight: 30}, c: {inflight: 30}}, []string{a, b, c}},
+		{"draining primary trails", map[string]view{a: {drained: true}}, []string{b, c, a}},
+		{"draining and unhealthy trail in ring order", map[string]view{a: {drained: true}, b: {unhealthy: true}}, []string{c, a, b}},
+		{"unavailable nodes trail the one available node", map[string]view{a: {unhealthy: true}, b: {inflight: 40}, c: {drained: true}}, []string{b, a, c}},
+		{"every node unavailable", map[string]view{a: {unhealthy: true}, b: {drained: true}, c: {unhealthy: true, drained: true}}, []string{a, b, c}},
+	} {
+		for _, name := range seq {
+			v, ws := tc.pool[name], gw.workers[name]
+			ws.inflight.Store(v.inflight)
+			ws.healthy.Store(!v.unhealthy)
+			ws.draining.Store(v.drained)
+		}
+		if got := gw.candidates(key); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: candidates = %v, want %v (ring sequence %v)", tc.name, got, tc.want, seq)
 		}
 	}
 }

@@ -2,27 +2,17 @@
 // keys always land on the same node (cache affinity and cluster-wide
 // singleflight) while membership changes move as few keys as possible.
 //
-// Two placement strategies share one API:
-//
-//   - a consistent-hash ring with virtual nodes for normal pools: each
-//     node owns Replicas points on a 64-bit circle, a key is served by
-//     the first point at or after its hash, and removing a node moves
-//     only the keys that node owned (~K/N of K keys on N nodes);
-//   - rendezvous (highest-random-weight) hashing for tiny pools, where a
-//     vnode ring's per-node share is too noisy: every node scores every
-//     key and the highest score wins, which is per-key uniform and still
-//     minimally disruptive, at O(N) per lookup — fine when N is small.
+// Placement is rendezvous (highest-random-weight) hashing: every node
+// scores every key and the highest score wins. That is per-key uniform
+// and minimally disruptive — removing a node moves only the keys it won,
+// adding one moves only the keys the newcomer now wins — at O(N) per
+// lookup, which is cheap for the pools of a few workers the cluster runs.
 //
 // Everything is deterministic: hashes are seed-free FNV-1a, nodes are
 // sorted at construction, and the same membership produces the same
 // key→node assignment in every process on every host. The gateway's
 // failover path leans on Sequence: the preference order a key visits is
 // stable, so retries land on the same fallback replica everywhere.
-//
-// PickBounded implements the "bounded loads" refinement: walk the key's
-// preference sequence and take the first node whose current load stays
-// under factor × the pool average, so a hot shard spills to its next
-// replica instead of melting one node.
 package ring
 
 import (
@@ -31,52 +21,18 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the vnode count per node; 128 keeps per-node share
-// within a few percent of uniform for pools of up to dozens of nodes.
-const DefaultReplicas = 128
-
-// DefaultRendezvousBelow is the pool size under which the ring switches
-// to rendezvous hashing. Tiny pools are exactly where vnode-share noise
-// is worst and where O(N) rendezvous scoring is cheapest.
-const DefaultRendezvousBelow = 4
-
-// Options parameterizes a Ring.
-type Options struct {
-	// Replicas is the virtual-node count per node; <= 0 means
-	// DefaultReplicas.
-	Replicas int
-	// RendezvousBelow selects rendezvous hashing for pools with fewer
-	// than this many nodes; <= 0 means DefaultRendezvousBelow. Set to 1
-	// to force the vnode ring at any size.
-	RendezvousBelow int
-}
-
-// vnode is one point on the circle.
-type vnode struct {
-	hash uint64
-	node int // index into nodes
-}
-
 // Ring is an immutable placement of a node set; build a new Ring on
 // membership change. All methods are safe for concurrent use.
 type Ring struct {
-	nodes      []string // sorted, unique
-	vnodes     []vnode  // sorted by hash (empty in rendezvous mode)
-	rendezvous bool
+	nodes []string // sorted, unique
 }
 
 // New builds a ring over the node names. Names must be non-empty and
 // unique; order does not matter (they are sorted, so two processes that
 // learn the membership in different orders agree on placement).
-func New(nodes []string, opt Options) (*Ring, error) {
+func New(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("ring: empty node set")
-	}
-	if opt.Replicas <= 0 {
-		opt.Replicas = DefaultReplicas
-	}
-	if opt.RendezvousBelow <= 0 {
-		opt.RendezvousBelow = DefaultRendezvousBelow
 	}
 	sorted := make([]string, len(nodes))
 	copy(sorted, nodes)
@@ -89,36 +45,15 @@ func New(nodes []string, opt Options) (*Ring, error) {
 			return nil, fmt.Errorf("ring: duplicate node %q", n)
 		}
 	}
-	r := &Ring{nodes: sorted}
-	if len(sorted) < opt.RendezvousBelow {
-		r.rendezvous = true
-		return r, nil
-	}
-	r.vnodes = make([]vnode, 0, len(sorted)*opt.Replicas)
-	for ni, name := range sorted {
-		for i := 0; i < opt.Replicas; i++ {
-			r.vnodes = append(r.vnodes, vnode{hash: hashString(fmt.Sprintf("%s\x00%d", name, i)), node: ni})
-		}
-	}
-	sort.Slice(r.vnodes, func(i, j int) bool {
-		a, b := r.vnodes[i], r.vnodes[j]
-		if a.hash != b.hash {
-			return a.hash < b.hash
-		}
-		// Hash ties (vanishingly rare) break by node index so the sort,
-		// and therefore placement, is still deterministic.
-		return a.node < b.node
-	})
-	return r, nil
+	return &Ring{nodes: sorted}, nil
 }
 
 // hashString is seed-free 64-bit FNV-1a followed by a splitmix64
 // finalizer. FNV alone leaves the high bits of short, similar strings
-// nearly identical ("cfg-…01" vs "cfg-…02" land adjacent on the circle),
-// which collapses vnode spread; the finalizer avalanches every input bit
-// across the word. Both stages are fixed constants — stable across
-// processes, hosts, and releases, which is what lets placement survive
-// restarts.
+// nearly identical ("cfg-…01" vs "cfg-…02"), which skews the scores of
+// similar keys; the finalizer avalanches every input bit across the
+// word. Both stages are fixed constants — stable across processes,
+// hosts, and releases, which is what lets placement survive restarts.
 func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
@@ -138,39 +73,14 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Len returns the pool size.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Rendezvous reports whether the pool is small enough to use rendezvous
-// scoring instead of the vnode circle.
-func (r *Ring) Rendezvous() bool { return r.rendezvous }
-
 // Primary returns the key's preferred node.
 func (r *Ring) Primary(key string) string { return r.Sequence(key)[0] }
 
 // Sequence returns every node in the key's deterministic preference
-// order: the primary first, then the fallback replicas a failover should
-// try. The slice is freshly allocated.
+// order — descending HRW score, ties broken by name: the primary first,
+// then the fallback replicas a failover should try. The slice is freshly
+// allocated.
 func (r *Ring) Sequence(key string) []string {
-	if r.rendezvous {
-		return r.rendezvousSequence(key)
-	}
-	kh := hashString(key)
-	i := sort.Search(len(r.vnodes), func(j int) bool { return r.vnodes[j].hash >= kh })
-	out := make([]string, 0, len(r.nodes))
-	seen := make([]bool, len(r.nodes))
-	for scanned := 0; scanned < len(r.vnodes) && len(out) < len(r.nodes); scanned++ {
-		v := r.vnodes[(i+scanned)%len(r.vnodes)]
-		if !seen[v.node] {
-			seen[v.node] = true
-			out = append(out, r.nodes[v.node])
-		}
-	}
-	return out
-}
-
-// rendezvousSequence orders nodes by descending HRW score.
-func (r *Ring) rendezvousSequence(key string) []string {
 	type scored struct {
 		score uint64
 		node  string
@@ -190,38 +100,4 @@ func (r *Ring) rendezvousSequence(key string) []string {
 		out[i] = s.node
 	}
 	return out
-}
-
-// PickBounded walks the key's preference sequence and returns the first
-// node whose load, after taking this request, stays within factor times
-// the pool's average load (the consistent-hashing-with-bounded-loads
-// rule). load reports each node's current load; factor <= 1 is treated
-// as 1.25. Because ceil(factor·(total+1)/n) is at least the average,
-// some node always qualifies; the primary wins whenever it has room, so
-// affinity is only sacrificed under genuine imbalance.
-func (r *Ring) PickBounded(key string, load func(node string) int, factor float64) string {
-	if factor <= 1 {
-		factor = 1.25
-	}
-	total := 0
-	for _, n := range r.nodes {
-		total += load(n)
-	}
-	// Capacity per node: ceil(factor * (total+1) / n), counting the
-	// incoming request in the total so the bound can never be zero.
-	want := factor * float64(total+1) / float64(len(r.nodes))
-	bound := int(want)
-	if float64(bound) < want {
-		bound++
-	}
-	if bound < 1 {
-		bound = 1
-	}
-	seq := r.Sequence(key)
-	for _, n := range seq {
-		if load(n)+1 <= bound {
-			return n
-		}
-	}
-	return seq[0]
 }

@@ -27,9 +27,9 @@ func poolNames(n int) []string {
 	return names
 }
 
-func mustNew(t *testing.T, nodes []string, opt Options) *Ring {
+func mustNew(t *testing.T, nodes []string) *Ring {
 	t.Helper()
-	r, err := New(nodes, opt)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,47 +46,48 @@ func TestConstructionErrors(t *testing.T) {
 		{"empty name", []string{"a", ""}},
 		{"duplicate", []string{"a", "b", "a"}},
 	} {
-		if _, err := New(tc.nodes, Options{}); err == nil {
+		if _, err := New(tc.nodes); err == nil {
 			t.Errorf("%s: New accepted %v", tc.name, tc.nodes)
 		}
 	}
 }
 
-// TestRemovalRemapsOnlyVictimKeys is the consistent-hashing contract on
-// the vnode ring: removing one of N nodes moves exactly the keys that
-// node owned and nothing else, and that share is ~K/N.
+// TestRemovalRemapsOnlyVictimKeys is the minimal-disruption contract:
+// removing one of N nodes moves exactly the keys that node owned and
+// nothing else, and that share is ~K/N.
 func TestRemovalRemapsOnlyVictimKeys(t *testing.T) {
-	const pool, nKeys = 10, 10000
-	nodes := poolNames(pool)
+	const nKeys = 10000
 	keys := sampleKeys(nKeys, 1)
-	full := mustNew(t, nodes, Options{})
-
-	for _, victim := range []int{0, 3, pool - 1} {
-		var rest []string
-		for i, n := range nodes {
-			if i != victim {
-				rest = append(rest, n)
+	for pool := 2; pool <= 10; pool++ {
+		nodes := poolNames(pool)
+		full := mustNew(t, nodes)
+		for _, victim := range []int{0, pool / 2, pool - 1} {
+			var rest []string
+			for i, n := range nodes {
+				if i != victim {
+					rest = append(rest, n)
+				}
 			}
-		}
-		shrunk := mustNew(t, rest, Options{})
-		moved, onVictim := 0, 0
-		for _, k := range keys {
-			before, after := full.Primary(k), shrunk.Primary(k)
-			if before == nodes[victim] {
-				onVictim++
-				continue
+			shrunk := mustNew(t, rest)
+			moved, onVictim := 0, 0
+			for _, k := range keys {
+				before, after := full.Primary(k), shrunk.Primary(k)
+				if before == nodes[victim] {
+					onVictim++
+					continue
+				}
+				if before != after {
+					moved++
+				}
 			}
-			if before != after {
-				moved++
+			if moved != 0 {
+				t.Errorf("pool %d: removing %s moved %d keys that it did not own", pool, nodes[victim], moved)
 			}
-		}
-		if moved != 0 {
-			t.Errorf("removing %s moved %d keys that it did not own", nodes[victim], moved)
-		}
-		// The victim's share is ~K/N; allow 2x slack for vnode noise.
-		if lo, hi := nKeys/(2*pool), 2*nKeys/pool; onVictim < lo || onVictim > hi {
-			t.Errorf("victim %s owned %d of %d keys, want within [%d, %d] (~K/N)",
-				nodes[victim], onVictim, nKeys, lo, hi)
+			// The victim's share is ~K/N; allow 2x slack.
+			if lo, hi := nKeys/(2*pool), 2*nKeys/pool; onVictim < lo || onVictim > hi {
+				t.Errorf("pool %d: victim %s owned %d of %d keys, want within [%d, %d] (~K/N)",
+					pool, nodes[victim], onVictim, nKeys, lo, hi)
+			}
 		}
 	}
 }
@@ -94,38 +95,35 @@ func TestRemovalRemapsOnlyVictimKeys(t *testing.T) {
 // TestAdditionRemapsOnlyToNewNode: growing the pool by one node moves
 // ~K/(N+1) keys, and every moved key moves to the new node.
 func TestAdditionRemapsOnlyToNewNode(t *testing.T) {
-	const pool, nKeys = 9, 10000
-	nodes := poolNames(pool)
+	const nKeys = 10000
 	keys := sampleKeys(nKeys, 2)
-	small := mustNew(t, nodes, Options{})
-	grown := mustNew(t, append(poolNames(pool), "node-new"), Options{})
-
-	moved := 0
-	for _, k := range keys {
-		before, after := small.Primary(k), grown.Primary(k)
-		if before == after {
-			continue
+	for pool := 2; pool < 10; pool++ {
+		small := mustNew(t, poolNames(pool))
+		grown := mustNew(t, append(poolNames(pool), "node-new"))
+		moved := 0
+		for _, k := range keys {
+			before, after := small.Primary(k), grown.Primary(k)
+			if before == after {
+				continue
+			}
+			moved++
+			if after != "node-new" {
+				t.Fatalf("pool %d: key %s moved %s -> %s, not to the new node", pool, k, before, after)
+			}
 		}
-		moved++
-		if after != "node-new" {
-			t.Fatalf("key %s moved %s -> %s, not to the new node", k, before, after)
+		if lo, hi := nKeys/(2*(pool+1)), 2*nKeys/(pool+1); moved < lo || moved > hi {
+			t.Errorf("pool %d: adding a node moved %d of %d keys, want within [%d, %d] (~K/(N+1))",
+				pool, moved, nKeys, lo, hi)
 		}
-	}
-	if lo, hi := nKeys/(2*(pool+1)), 2*nKeys/(pool+1); moved < lo || moved > hi {
-		t.Errorf("adding a node moved %d of %d keys, want within [%d, %d] (~K/(N+1))",
-			moved, nKeys, lo, hi)
 	}
 }
 
-// TestRendezvousRemapMinimal pins the same minimal-disruption property on
-// the tiny-pool (rendezvous) path.
+// TestRendezvousRemapMinimal pins the minimal-disruption property on
+// names that sort differently from the poolNames pattern.
 func TestRendezvousRemapMinimal(t *testing.T) {
 	keys := sampleKeys(10000, 3)
-	three := mustNew(t, []string{"a", "b", "c"}, Options{})
-	if !three.Rendezvous() {
-		t.Fatal("3-node pool did not select rendezvous mode")
-	}
-	two := mustNew(t, []string{"a", "b"}, Options{})
+	three := mustNew(t, []string{"a", "b", "c"})
+	two := mustNew(t, []string{"a", "b"})
 	for _, k := range keys {
 		before, after := three.Primary(k), two.Primary(k)
 		if before != "c" && before != after {
@@ -134,11 +132,11 @@ func TestRendezvousRemapMinimal(t *testing.T) {
 	}
 }
 
-// TestPrimaryDistribution bounds static skew: with the default vnode
-// count, no node's share of 10k keys strays far from uniform.
+// TestPrimaryDistribution bounds static skew: no node's share of 10k
+// keys strays far from uniform.
 func TestPrimaryDistribution(t *testing.T) {
 	const pool, nKeys = 8, 10000
-	r := mustNew(t, poolNames(pool), Options{})
+	r := mustNew(t, poolNames(pool))
 	counts := map[string]int{}
 	for _, k := range sampleKeys(nKeys, 4) {
 		counts[r.Primary(k)]++
@@ -146,7 +144,7 @@ func TestPrimaryDistribution(t *testing.T) {
 	mean := nKeys / pool
 	for node, c := range counts {
 		if c > mean*16/10 || c < mean*4/10 {
-			t.Errorf("node %s holds %d keys, mean %d: vnode distribution too skewed", node, c, mean)
+			t.Errorf("node %s holds %d keys, mean %d: distribution too skewed", node, c, mean)
 		}
 	}
 	if len(counts) != pool {
@@ -154,45 +152,11 @@ func TestPrimaryDistribution(t *testing.T) {
 	}
 }
 
-// TestPickBoundedLoadFactor is the bounded-load guarantee: routing 10k
-// keys while counting load keeps every node within ceil(factor * mean),
-// deterministically — not a statistical bound.
-func TestPickBoundedLoadFactor(t *testing.T) {
-	const pool, nKeys = 8, 10000
-	factor := 1.25
-	r := mustNew(t, poolNames(pool), Options{})
-	load := map[string]int{}
-	for _, k := range sampleKeys(nKeys, 5) {
-		n := r.PickBounded(k, func(node string) int { return load[node] }, factor)
-		load[n]++
-	}
-	total := 0
-	for _, c := range load {
-		total += c
-	}
-	if total != nKeys {
-		t.Fatalf("placed %d keys, want %d", total, nKeys)
-	}
-	bound := int(factor*float64(nKeys)/float64(pool)) + 1
-	for node, c := range load {
-		if c > bound {
-			t.Errorf("node %s carries %d keys, bounded-load cap is %d", node, c, bound)
-		}
-	}
-	// Affinity is preserved when balanced: a fresh pass over the same keys
-	// with zero load must give the plain primary.
-	for _, k := range sampleKeys(64, 5) {
-		if got := r.PickBounded(k, func(string) int { return 0 }, factor); got != r.Primary(k) {
-			t.Fatalf("unloaded PickBounded(%s) = %s, want primary %s", k, got, r.Primary(k))
-		}
-	}
-}
-
 // TestSequenceCoversAllNodesOnce: the failover order visits every node
 // exactly once, starting at the primary.
 func TestSequenceCoversAllNodesOnce(t *testing.T) {
-	for _, pool := range []int{2, 3, 5, 9} {
-		r := mustNew(t, poolNames(pool), Options{})
+	for pool := 2; pool <= 10; pool++ {
+		r := mustNew(t, poolNames(pool))
 		for _, k := range sampleKeys(100, 6) {
 			seq := r.Sequence(k)
 			if len(seq) != pool {
@@ -222,8 +186,8 @@ func TestDeterministicAcrossConstruction(t *testing.T) {
 	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	a := mustNew(t, nodes, Options{})
-	b := mustNew(t, shuffled, Options{})
+	a := mustNew(t, nodes)
+	b := mustNew(t, shuffled)
 	for _, k := range sampleKeys(500, 7) {
 		if !reflect.DeepEqual(a.Sequence(k), b.Sequence(k)) {
 			t.Fatalf("sequence for %s differs across construction orders:\n%v\n%v",
@@ -232,46 +196,65 @@ func TestDeterministicAcrossConstruction(t *testing.T) {
 	}
 }
 
-// TestGoldenAssignments pins the exact key→node mapping for both modes.
-// These literals are the cross-restart determinism contract: they must
-// never change without a deliberate placement-version bump (which moves
-// every cached key to a new node and cold-starts the cluster's caches).
+// TestGoldenAssignments pins the exact key→node mapping for a 5-node and
+// a 3-node pool. These literals are the cross-restart determinism
+// contract: they must never change without a deliberate placement-version
+// bump (which moves every cached key to a new node and cold-starts the
+// cluster's caches).
 func TestGoldenAssignments(t *testing.T) {
-	ringPool := mustNew(t, []string{"n0", "n1", "n2", "n3", "n4"}, Options{})
-	tinyPool := mustNew(t, []string{"n0", "n1", "n2"}, Options{})
-	if ringPool.Rendezvous() || !tinyPool.Rendezvous() {
-		t.Fatalf("mode selection drifted: 5-node rendezvous=%v, 3-node rendezvous=%v",
-			ringPool.Rendezvous(), tinyPool.Rendezvous())
-	}
+	fivePool := mustNew(t, []string{"n0", "n1", "n2", "n3", "n4"})
+	threePool := mustNew(t, []string{"n0", "n1", "n2"})
 	golden := []struct {
-		key        string
-		ring, tiny string
+		key         string
+		five, three string
 	}{
-		{"key-00", "n3", "n0"},
-		{"key-01", "n1", "n2"},
-		{"key-02", "n1", "n2"},
-		{"key-03", "n0", "n2"},
-		{"key-04", "n3", "n2"},
-		{"key-05", "n3", "n2"},
-		{"key-06", "n4", "n0"},
-		{"key-07", "n2", "n0"},
-		{"key-08", "n2", "n1"},
-		{"key-09", "n3", "n0"},
-		{"key-10", "n1", "n0"},
-		{"key-11", "n3", "n2"},
-		{"key-12", "n3", "n0"},
-		{"key-13", "n3", "n0"},
-		{"key-14", "n1", "n2"},
-		{"key-15", "n3", "n0"},
+		{"key-00", "n0", "n0"},
+		{"key-01", "n3", "n2"},
+		{"key-02", "n2", "n2"},
+		{"key-03", "n2", "n2"},
+		{"key-04", "n4", "n2"},
+		{"key-05", "n2", "n2"},
+		{"key-06", "n0", "n0"},
+		{"key-07", "n0", "n0"},
+		{"key-08", "n1", "n1"},
+		{"key-09", "n0", "n0"},
+		{"key-10", "n3", "n0"},
+		{"key-11", "n2", "n2"},
+		{"key-12", "n0", "n0"},
+		{"key-13", "n0", "n0"},
+		{"key-14", "n3", "n2"},
+		{"key-15", "n0", "n0"},
 	}
 	for _, g := range golden {
-		if got := ringPool.Primary(g.key); got != g.ring {
-			t.Errorf("ring mode: Primary(%s) = %s, want %s (placement drifted across versions)",
-				g.key, got, g.ring)
+		if got := fivePool.Primary(g.key); got != g.five {
+			t.Errorf("5-node pool: Primary(%s) = %s, want %s (placement drifted across versions)",
+				g.key, got, g.five)
 		}
-		if got := tinyPool.Primary(g.key); got != g.tiny {
-			t.Errorf("rendezvous mode: Primary(%s) = %s, want %s (placement drifted across versions)",
-				g.key, got, g.tiny)
+		if got := threePool.Primary(g.key); got != g.three {
+			t.Errorf("3-node pool: Primary(%s) = %s, want %s (placement drifted across versions)",
+				g.key, got, g.three)
 		}
+	}
+}
+
+// sequenceSink keeps BenchmarkSequence's result live.
+var sequenceSink []string
+
+// BenchmarkSequence is the per-request placement cost the gateway pays,
+// at the pool size the repo runs (3) and a larger one (12).
+func BenchmarkSequence(b *testing.B) {
+	keys := sampleKeys(1024, 8)
+	for _, pool := range []int{3, 12} {
+		b.Run(fmt.Sprintf("nodes=%d", pool), func(b *testing.B) {
+			r, err := New(poolNames(pool))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sequenceSink = r.Sequence(keys[i%len(keys)])
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package runcache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -60,31 +58,12 @@ func (c *Cache) loadDisk(id string, key Key) (rep system.Report, ok bool) {
 		return rep, false
 	}
 	defer diskReadSeconds.ObserveSince(time.Now())
-	var e diskEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		c.discardCorrupt(path)
-		return rep, false
-	}
-	if e.Key.ID() != id {
-		c.discardCorrupt(path)
-		return rep, false
-	}
-	sum := sha256.Sum256(e.Report)
-	if hex.EncodeToString(sum[:]) != e.Sum {
-		c.discardCorrupt(path)
-		return rep, false
-	}
-	if err := json.Unmarshal(e.Report, &rep); err != nil {
+	rep, err = DecodeEntry(key, b)
+	if err != nil {
 		c.discardCorrupt(path)
 		return rep, false
 	}
 	return rep, true
-}
-
-// readEntryFile reads one stored envelope verbatim (for EntryBytes; the
-// peer that asked verifies it).
-func readEntryFile(path string) ([]byte, error) {
-	return os.ReadFile(path)
 }
 
 // storeDisk persists one entry atomically. Failures are recorded but not

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 
 	"sparc64v/internal/system"
 )
@@ -100,7 +101,7 @@ func (c *Cache) EntryBytes(id string) ([]byte, bool) {
 	if dir == "" {
 		return nil, false
 	}
-	b, err := readEntryFile(c.entryPath(id))
+	b, err := os.ReadFile(c.entryPath(id))
 	if err != nil {
 		return nil, false
 	}

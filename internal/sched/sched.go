@@ -36,12 +36,6 @@ type Options struct {
 	// Workers bounds the number of jobs in flight; <= 0 means GOMAXPROCS.
 	// 1 degenerates to a strictly serial run (same order, same results).
 	Workers int
-	// OnDone, when non-nil, is called once per job as it finishes, with the
-	// job's submission index and error. Calls may arrive out of order and
-	// concurrently; the callback must be safe for concurrent use. Jobs
-	// skipped because the batch context was cancelled still get a call,
-	// with the context's error.
-	OnDone func(index int, err error)
 }
 
 // Workers resolves a worker-count request against the host.
@@ -136,9 +130,6 @@ func MapAllCtx[T any](ctx context.Context, n int, opt Options, job func(ctx cont
 			jobsErr.Inc()
 		} else {
 			jobsOK.Inc()
-		}
-		if opt.OnDone != nil {
-			opt.OnDone(i, errs[i])
 		}
 	}
 	if workers == 1 {

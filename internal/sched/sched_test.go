@@ -97,31 +97,6 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestOnDoneCoversEveryJob(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]error{}
-	wantErr := errors.New("e")
-	_, _ = MapCtx(context.Background(), 12, Options{
-		Workers: 4,
-		OnDone: func(i int, err error) {
-			mu.Lock()
-			seen[i] = err
-			mu.Unlock()
-		},
-	}, func(_ context.Context, i int) (int, error) {
-		if i == 5 {
-			return 0, wantErr
-		}
-		return i, nil
-	})
-	if len(seen) != 12 {
-		t.Fatalf("OnDone saw %d jobs, want 12", len(seen))
-	}
-	if seen[5] != wantErr {
-		t.Fatalf("OnDone error for job 5 = %v", seen[5])
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Fatal("explicit count not honored")
@@ -317,28 +292,5 @@ func TestDoCtx(t *testing.T) {
 		func(context.Context) error { return nil },
 	); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled DoCtx = %v", err)
-	}
-}
-
-func TestOnDoneCalledForSkippedJobs(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var mu sync.Mutex
-	seen := map[int]error{}
-	MapAllCtx(ctx, 5, Options{
-		Workers: 2,
-		OnDone: func(i int, err error) {
-			mu.Lock()
-			seen[i] = err
-			mu.Unlock()
-		},
-	}, func(context.Context, int) (int, error) { return 0, nil })
-	if len(seen) != 5 {
-		t.Fatalf("OnDone saw %d jobs, want 5", len(seen))
-	}
-	for i, err := range seen {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("OnDone[%d] = %v", i, err)
-		}
 	}
 }

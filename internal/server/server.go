@@ -48,9 +48,6 @@ const MaxBodyBytes = 1 << 20
 type Config struct {
 	// Cache serves repeated runs; required.
 	Cache *runcache.Cache
-	// Base is the configuration request overlays start from; the zero
-	// value means config.Base().
-	Base config.Config
 	// Workers bounds concurrent simulations; 0 means sched.Workers().
 	Workers int
 	// MaxQueue bounds admitted-but-not-yet-running jobs beyond Workers;
@@ -86,7 +83,6 @@ type Config struct {
 // listening and graceful Shutdown).
 type Server struct {
 	cache        *runcache.Cache
-	base         config.Config
 	workers      int
 	maxQueue     int
 	defaultInsts int
@@ -133,9 +129,6 @@ func New(c Config) (*Server, error) {
 	if c.Cache == nil {
 		return nil, errors.New("server: Config.Cache is required")
 	}
-	if c.Base.Name == "" {
-		c.Base = config.Base()
-	}
 	c.Workers = sched.Workers(c.Workers)
 	switch {
 	case c.MaxQueue == 0:
@@ -156,7 +149,6 @@ func New(c Config) (*Server, error) {
 	s := &Server{
 		cal:          cal,
 		cache:        c.Cache,
-		base:         c.Base,
 		workers:      c.Workers,
 		maxQueue:     c.MaxQueue,
 		defaultInsts: c.DefaultInsts,
@@ -299,8 +291,8 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 }
 
 // RunRequest is the POST /v1/run body. Config, when present, is a strict
-// partial overlay on the server's base configuration: fields present
-// override, absent fields keep their base value, unknown fields are a 400.
+// partial overlay on config.Base(): fields present override, absent fields
+// keep their base value, unknown fields are a 400.
 type RunRequest struct {
 	Workload string `json:"workload"`
 	Insts    int    `json:"insts,omitempty"`
@@ -337,14 +329,12 @@ type ResolvedRun struct {
 	Key     runcache.Key
 }
 
-// ResolveRun validates req against base and computes its cache key.
-// defaultInsts fills an absent insts field (<= 0 means the server
-// default of 1,000,000). Every error is a client error (HTTP 400).
+// ResolveRun validates req against base (config.Base() for every server
+// and gateway) and computes its cache key. defaultInsts fills an absent
+// insts field (<= 0 means the server default of 1,000,000). Every error is
+// a client error (HTTP 400).
 func ResolveRun(base config.Config, defaultInsts int, req RunRequest) (ResolvedRun, error) {
 	var rr ResolvedRun
-	if base.Name == "" {
-		base = config.Base()
-	}
 	if defaultInsts <= 0 {
 		defaultInsts = 1_000_000
 	}
@@ -378,9 +368,6 @@ func ResolveRun(base config.Config, defaultInsts int, req RunRequest) (ResolvedR
 		Insts:  req.Insts,
 		Seed:   req.Seed,
 		Warmup: req.Warmup,
-		// One request is one job: harness fan-out stays with the
-		// admission gate, not inside a single run.
-		Workers: 1,
 	}
 	if opt.Insts == 0 {
 		opt.Insts = defaultInsts
@@ -414,7 +401,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	rr, err := ResolveRun(s.base, s.defaultInsts, req)
+	rr, err := ResolveRun(config.Base(), s.defaultInsts, req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -483,7 +470,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown workload %q (have %v)", req.Workload, workload.Names())
 		return
 	}
-	cfg := s.base
+	cfg := config.Base()
 	if len(req.Config) > 0 {
 		var err error
 		cfg, err = config.OverlayJSON(cfg, bytes.NewReader(req.Config))

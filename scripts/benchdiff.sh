@@ -1,5 +1,5 @@
 #!/bin/sh
-# Benchmark regression gate over the scheduler and run-cache
+# Benchmark regression gate over the scheduler, run-cache and placement
 # micro-benchmarks (the paths every simulation request crosses).
 #
 # Runs `go test -bench . -benchmem -count $BENCH_COUNT` (default 5), takes
@@ -25,7 +25,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/sched ./internal/runcache ./internal/core"
+PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring"
 COUNT="${BENCH_COUNT:-5}"
 NS_TOL="${BENCH_NS_TOLERANCE:-75}"
 ALLOC_TOL="${BENCH_ALLOC_TOLERANCE:-15}"
