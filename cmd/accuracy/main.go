@@ -53,7 +53,6 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "content-addressed run cache directory (empty = no cache)")
 		profile      = flag.String("profile", "", "write a JSON timing+counter profile of every run to this file")
 		sample       = flag.String("sample", "", "sampled simulation for the ladder and trend runs: off|auto|interval=N,warmup=N,measure=N[,offset=N]")
-		batch        = flag.Int("batch", 0, "lockstep-batch up to N same-trace ladder configurations per decode (0/1 = serial decode per run)")
 	)
 	flag.Parse()
 	prof, ok := workload.ByName(*workloadName)
@@ -67,7 +66,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opt := core.RunOptions{Insts: *insts, Seed: *seed, Workers: *workers, Batch: *batch}
+	opt := core.RunOptions{Insts: *insts, Seed: *seed, Workers: *workers}
 	// Sampling accelerates the ladder and trend sections; the reverse-tracer
 	// round trip below is a cycle-exact comparison and always runs full.
 	var sampErr error

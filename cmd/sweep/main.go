@@ -4,7 +4,8 @@
 //
 // The studies are independent simulations, so the sweep fans out onto the
 // sched worker pool by default (-workers 1 restores the serial sweep;
-// output is byte-identical either way). The stderr summary
+// output is byte-identical either way), and runs that share a workload
+// trace batch automatically, decoding it once. The stderr summary
 // reports per-study wall time and the sweep's effective simulated
 // instructions/second — the modern counterpart of the paper's "7.8K
 // instructions per second on a 1-GHz Pentium III" model-speed quote.
@@ -53,7 +54,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory (empty = no cache)")
 		profile  = flag.String("profile", "", "write a JSON timing+counter profile of every run to this file")
 		sample   = flag.String("sample", "", "sampled simulation for every study: off|auto|interval=N,warmup=N,measure=N[,offset=N]")
-		batch    = flag.Int("batch", 0, "lockstep-batch up to N same-trace configurations per decode (0/1 = serial decode per run)")
 	)
 	flag.Parse()
 
@@ -65,7 +65,7 @@ func main() {
 		defer cancel()
 	}
 
-	opt := core.RunOptions{Insts: *insts, Seed: *seed, Workers: *workers, Batch: *batch}
+	opt := core.RunOptions{Insts: *insts, Seed: *seed, Workers: *workers}
 	var err error
 	if opt.Sample, err = config.ParseSampling(*sample, *insts); err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)

@@ -90,7 +90,7 @@ var (
 	batchMembersTotal = obs.Default().Counter("sparc64v_batch_members_total",
 		"Members simulated by lockstep batches (cache-served members excluded).")
 	batchCacheSkips = obs.Default().Counter("sparc64v_batch_cache_skips_total",
-		"Batch members served from the run cache before streaming began.")
+		"Batch members the run cache served (a hit, or another caller's flight) instead of simulating.")
 	batchStallRestarts = obs.Default().Counter("sparc64v_batch_stall_restarts_total",
 		"Members re-run serially after a lockstep round advanced nobody (cross-stream starvation).")
 	batchOccupancy = obs.Default().Gauge("sparc64v_batch_occupancy",
@@ -219,7 +219,9 @@ func (m *Model) runErr(label string, opt RunOptions, cerr error, capped bool) er
 
 // drive is the run engine: it advances members until each is over and
 // returns their reports and errors, index-aligned with members. A nil
-// member (one that failed to start) is skipped.
+// member (one that failed to start) is skipped. Member i runs on ctxs[i]
+// and is cancelled alone when that context ends, so a batch member whose
+// last waiter has gone stops without stopping the others.
 //
 // With fans == nil each member reads its own sources and steps back to
 // back, with a context poll between steps. With fans, member i reads
@@ -227,7 +229,7 @@ func (m *Model) runErr(label string, opt RunOptions, cerr error, capped bool) er
 // member whose next step the rings can feed. A round that steps nobody
 // peels the first waiting member off and drives it again, as a batch of
 // one over the fresh sources restart builds.
-func drive(ctx context.Context, members []member, fans []*trace.Fanout, restart func(i int) (member, error)) ([]system.Report, []error) {
+func drive(ctxs []context.Context, members []member, fans []*trace.Fanout, restart func(i int) (member, error)) ([]system.Report, []error) {
 	reps := make([]system.Report, len(members))
 	errs := make([]error, len(members))
 	leave := func(i int) {
@@ -251,30 +253,30 @@ func drive(ctx context.Context, members []member, fans []*trace.Fanout, restart 
 		}
 		live = append(live, i)
 	}
-	done := ctx.Done()
 	for len(live) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				for _, i := range live {
-					finish(i, ctx.Err())
-				}
-				return reps, errs
-			default:
+		next := live[:0]
+		for _, i := range live {
+			if err := ctxs[i].Err(); err != nil {
+				finish(i, err)
+			} else {
+				next = append(next, i)
 			}
+		}
+		if live = next; len(live) == 0 {
+			break
 		}
 		for _, f := range fans {
 			f.Fill()
 		}
 		progressed := false
-		next := live[:0]
+		next = live[:0]
 		for _, i := range live {
 			if fans != nil && starved(fans, i, members[i]) {
 				next = append(next, i)
 				continue
 			}
 			progressed = true
-			if members[i].step(ctx) {
+			if members[i].step(ctxs[i]) {
 				finish(i, nil)
 			} else {
 				next = append(next, i)
@@ -291,7 +293,7 @@ func drive(ctx context.Context, members []member, fans []*trace.Fanout, restart 
 				errs[i] = err
 				continue
 			}
-			r, e := drive(ctx, []member{mb}, nil, nil)
+			r, e := drive(ctxs[i:i+1], []member{mb}, nil, nil)
 			reps[i], errs[i] = r[0], e[0]
 		}
 	}
@@ -335,67 +337,106 @@ func ringDepth(opt RunOptions) int {
 }
 
 // runProfile is the one cache path, under RunContext and RunBatch: it runs
-// p on every non-nil model, writing each result to reps[i], errs[i]. With
-// opt.Cache set, models whose run is already cached are served first, each
-// with a span carrying the cached marker. A lone remaining run goes through
-// GetOrRun, so concurrent identical runs share one simulation; two or more
-// run in lockstep and each success is stored. Failed or cancelled runs are
-// never stored.
+// p on every non-nil model, writing each result to reps[i], errs[i].
+//
+// Without opt.Cache every model runs on ctx: a lone one on its own, two or
+// more in lockstep. With opt.Cache it first claims every model's key
+// (runcache.Claim). A hit is served at once, each with a span carrying the
+// cached marker. The keys this call leads run as above, each on its
+// flight's context, and are completed into the cache one by one. A key
+// another caller is already running — or that appears twice here — is not
+// simulated again: its model waits for that flight. Failed or cancelled
+// runs are never stored.
 func runProfile(ctx context.Context, models []*Model, p workload.Profile, opt RunOptions, reps []system.Report, errs []error) {
-	keys := make([]*runcache.Key, len(models))
-	var live []*Model
+	type claimed struct {
+		t   *runcache.Ticket // nil when the run is uncached
+		sp  *obs.Span        // published only if the cache serves the run
+		end func()           // closes sp's cache phase
+	}
+	cl := make([]claimed, len(models))
+	if opt.Cache != nil {
+		var keys []runcache.Key
+		var at []int
+		for i, m := range models {
+			if m == nil {
+				continue
+			}
+			// An unhashable configuration (cannot happen for real Configs)
+			// runs uncached rather than failing.
+			if key, err := m.runKey(p, opt); err == nil {
+				keys = append(keys, key)
+				at = append(at, i)
+				cl[i].sp = opt.Obs.StartSpan("run", p.Name)
+				cl[i].end = cl[i].sp.Phase(obs.PhaseCache)
+			}
+		}
+		ts := opt.Cache.Claim(ctx, keys)
+		for k, i := range at {
+			cl[i].t = &ts[k]
+		}
+	}
+	// served closes the span of a run the cache served.
+	served := func(i int) {
+		cl[i].end()
+		cachedSpan(cl[i].sp, reps[i])
+		if len(models) > 1 {
+			batchCacheSkips.Inc()
+		}
+	}
+
+	var run []*Model
+	var runCtxs []context.Context
 	var at []int
 	for i, m := range models {
 		if m == nil {
 			continue
 		}
-		if opt.Cache != nil {
-			// An unhashable configuration (cannot happen for real Configs)
-			// runs uncached rather than failing.
-			if key, err := m.runKey(p, opt); err == nil {
-				keys[i] = &key
-				sp := opt.Obs.StartSpan("run", p.Name)
-				end := sp.Phase(obs.PhaseCache)
-				rep, ok := opt.Cache.Get(key)
-				end()
-				if ok {
-					cachedSpan(sp, rep)
-					if len(models) > 1 {
-						batchCacheSkips.Inc()
-					}
-					reps[i] = rep
-					continue
-				}
+		runCtx := ctx
+		if t := cl[i].t; t != nil {
+			switch t.Outcome {
+			case runcache.OutcomeMiss:
+				runCtx = t.Context()
+			case runcache.OutcomeShared:
+				continue // waited for below
+			default:
+				reps[i] = t.Report
+				served(i)
+				continue
 			}
 		}
-		live = append(live, m)
+		run = append(run, m)
+		runCtxs = append(runCtxs, runCtx)
 		at = append(at, i)
 	}
-	switch len(live) {
+	// A panicking run must not leave the flights it leads open: fail what
+	// is still open (Complete on a completed flight is a no-op).
+	defer func() {
+		for _, i := range at {
+			if t := cl[i].t; t != nil {
+				opt.Cache.Complete(t, system.Report{}, runcache.ErrAbandoned)
+			}
+		}
+	}()
+	var r []system.Report
+	var e []error
+	switch len(run) {
 	case 0:
 	case 1:
-		m, i := live[0], at[0]
-		sim := func(ctx context.Context) (system.Report, error) {
-			return m.RunSourcesContext(ctx, p.Name, profileSources(p, opt, m.cfg.CPUs), opt)
-		}
-		if keys[i] == nil {
-			reps[i], errs[i] = sim(ctx)
-			return
-		}
-		sp := opt.Obs.StartSpan("run", p.Name)
-		end := sp.Phase(obs.PhaseCache)
-		rep, outcome, err := opt.Cache.GetOrRun(ctx, *keys[i], sim)
-		end()
-		if err == nil && outcome.Cached() {
-			cachedSpan(sp, rep)
-		}
-		reps[i], errs[i] = rep, err
+		rep, err := run[0].RunSourcesContext(runCtxs[0], p.Name, profileSources(p, opt, run[0].cfg.CPUs), opt)
+		r, e = []system.Report{rep}, []error{err}
 	default:
-		r, e := lockstep(ctx, live, p, opt, ringDepth(opt))
-		for k, i := range at {
-			reps[i], errs[i] = r[k], e[k]
-			if e[k] == nil && keys[i] != nil {
-				opt.Cache.Put(*keys[i], r[k])
+		r, e = lockstep(runCtxs, run, p, opt, ringDepth(opt))
+	}
+	for k, i := range at {
+		reps[i], errs[i] = r[k], e[k]
+		if t := cl[i].t; t != nil {
+			opt.Cache.Complete(t, r[k], e[k])
+		}
+	}
+	for i := range cl {
+		if t := cl[i].t; t != nil && t.Outcome == runcache.OutcomeShared {
+			if reps[i], errs[i] = opt.Cache.Wait(ctx, t); errs[i] == nil {
+				served(i)
 			}
 		}
 	}
@@ -412,8 +453,8 @@ func cachedSpan(sp *obs.Span, rep system.Report) {
 
 // lockstep runs p on two or more models with the same CPU count over one
 // decoded trace: one fanout per CPU stream with the given ring depth, one
-// cursor per (stream, member).
-func lockstep(ctx context.Context, models []*Model, p workload.Profile, opt RunOptions, depth int) ([]system.Report, []error) {
+// cursor per (stream, member). Model i runs on ctxs[i].
+func lockstep(ctxs []context.Context, models []*Model, p workload.Profile, opt RunOptions, depth int) ([]system.Report, []error) {
 	cpus := models[0].cfg.CPUs
 	batchRuns.Inc()
 	batchMembersTotal.Add(uint64(len(models)))
@@ -431,7 +472,7 @@ func lockstep(ctx context.Context, models []*Model, p workload.Profile, opt RunO
 		}
 		members[i], startErrs[i] = m.start(p.Name, srcs, opt, true)
 	}
-	reps, errs := drive(ctx, members, fans, func(i int) (member, error) {
+	reps, errs := drive(ctxs, members, fans, func(i int) (member, error) {
 		return models[i].start(p.Name, profileSources(p, opt, cpus), opt, false)
 	})
 	for i, err := range startErrs {
@@ -486,8 +527,9 @@ func BatchKey(cfg config.Config, p workload.Profile, opt RunOptions) (string, er
 // All members must have the same CPU count (they share per-CPU streams);
 // members that cannot join (validation failure, CPU mismatch) error
 // individually without sinking the batch. With opt.Cache set, members whose
-// key is already cached are served before streaming begins and the
-// remaining members are stored individually on success. With opt.Sample
+// key is already cached are served before streaming begins, members that
+// another caller is already running join that run, and the rest are
+// stored individually on success. With opt.Sample
 // enabled the whole batch runs sampled: fast-forward and measurement
 // windows advance in lockstep against the same shared rings.
 func RunBatch(ctx context.Context, cfgs []config.Config, p workload.Profile, opt RunOptions) ([]system.Report, []error) {
@@ -524,24 +566,29 @@ type Job struct {
 	Opt     RunOptions
 }
 
+// maxBatch bounds a lockstep chunk: at most this many machines advance
+// together in one RunBatch.
+const maxBatch = 8
+
 // RunJobs is the harnesses' job fan-out. It runs jobs on the scheduler,
 // opt.Workers wide, and returns every job's report and error in submission
-// order. With opt.Batch > 1, jobs that share a BatchKey are cut into chunks
-// of at most opt.Batch, and each chunk runs as one RunBatch that streams
-// its trace once; otherwise every job is a chunk of its own. A chunk the
-// scheduler skipped after cancellation reports ctx.Err() for each of its
-// jobs. Like Workers, batching never changes a report or an error.
+// order. Jobs that share a BatchKey are batched: the group is cut into
+// chunks of at most size = clamp(ceil(len(jobs)/workers), 1, maxBatch) —
+// enough chunks to keep every worker busy — and each chunk runs as one
+// RunBatch that streams its trace once. A chunk the scheduler skipped
+// after cancellation reports ctx.Err() for each of its jobs. Like Workers,
+// batching never changes a report or an error.
 func RunJobs(ctx context.Context, jobs []Job, opt RunOptions) ([]system.Report, []error) {
-	size := max(opt.Batch, 1)
+	w := sched.Workers(opt.Workers)
+	size := min(max((len(jobs)+w-1)/w, 1), maxBatch)
 	groups := make(map[string][]int)
 	var order []string
 	for i, j := range jobs {
-		key := strconv.Itoa(i) // a chunk of its own; BatchKeys contain \x00
-		if size > 1 {
-			// An unkeyable job runs alone; its run surfaces the error.
-			if k, err := BatchKey(j.Config, j.Profile, j.Opt); err == nil {
-				key = k
-			}
+		key, err := BatchKey(j.Config, j.Profile, j.Opt)
+		if err != nil {
+			// An unkeyable job runs alone (BatchKeys contain \x00); its run
+			// surfaces the error.
+			key = strconv.Itoa(i)
 		}
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)

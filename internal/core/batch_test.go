@@ -434,11 +434,13 @@ func TestDriveStallFallback(t *testing.T) {
 			opt := c.opt
 			opt.defaults()
 			models := make([]*Model, len(c.cfgs))
+			ctxs := make([]context.Context, len(c.cfgs))
 			for i, cfg := range c.cfgs {
 				models[i], _ = NewModel(cfg)
+				ctxs[i] = context.Background()
 			}
 			before := batchStallRestarts.Value()
-			reps, errs := lockstep(context.Background(), models, c.p, opt, depth)
+			reps, errs := lockstep(ctxs, models, c.p, opt, depth)
 			if got := batchStallRestarts.Value() - before; got < uint64(len(models)) {
 				t.Errorf("stall restarts went up by %d, want >= %d", got, len(models))
 			}

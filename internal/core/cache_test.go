@@ -4,9 +4,11 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/runcache"
+	"sparc64v/internal/system"
 	"sparc64v/internal/workload"
 )
 
@@ -170,5 +172,113 @@ func TestRunManyDedup(t *testing.T) {
 	}
 	if s := cache.Stats(); s.Misses != 3 {
 		t.Fatalf("6 submitted runs over 3 seeds simulated %d times, want 3 (stats %+v)", s.Misses, s)
+	}
+}
+
+// TestRunJobsDuplicateJobsShareOneRun: a job listed twice is one run, both
+// through RunJobs (which batches the group) and through one RunBatch. The
+// cache records one miss per distinct key, and no report handed back
+// aliases what the cache stored: mutating every returned CPUs slice leaves
+// a later hit unchanged.
+func TestRunJobsDuplicateJobsShareOneRun(t *testing.T) {
+	p := workload.SPECint95()
+	cfgs := batchNeighborhood()[:2]
+	dup := []config.Config{cfgs[0], cfgs[1], cfgs[0]}
+	for _, tc := range []struct {
+		name string
+		run  func(RunOptions) ([]system.Report, []error)
+	}{
+		{"RunJobs", func(opt RunOptions) ([]system.Report, []error) {
+			jobs := make([]Job, len(dup))
+			for i, cfg := range dup {
+				jobs[i] = Job{Config: cfg, Profile: p, Opt: opt}
+			}
+			return RunJobs(context.Background(), jobs, opt)
+		}},
+		{"RunBatch", func(opt RunOptions) ([]system.Report, []error) {
+			return RunBatch(context.Background(), dup, p, opt)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := runcache.New(runcache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := RunOptions{Insts: 20_000, Workers: 1, Cache: cache}
+			reps, errs := tc.run(opt)
+			for i := range reps {
+				if errs[i] != nil {
+					t.Fatalf("job %d: %v", i, errs[i])
+				}
+			}
+			if s := cache.Stats(); s.Misses != 2 {
+				t.Fatalf("%d jobs over 2 distinct keys simulated %d times (stats %+v)", len(dup), s.Misses, s)
+			}
+			want := reportBytes(t, reps[0])
+			if got := reportBytes(t, reps[2]); got != want {
+				t.Fatal("duplicate job's report differs from the first")
+			}
+			for i := range reps {
+				for c := range reps[i].CPUs {
+					reps[i].CPUs[c].Core.Cycles = 0
+				}
+			}
+			m, _ := NewModel(cfgs[0])
+			hit, err := m.RunContext(context.Background(), p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reportBytes(t, hit) != want {
+				t.Fatal("a caller's mutation of its report leaked into the cache")
+			}
+		})
+	}
+}
+
+// TestRunContextJoinsBatchFlight: a RunContext issued while a RunBatch
+// leads the same key joins the batch's flight instead of simulating it
+// again, so the process simulates exactly the batch's members.
+func TestRunContextJoinsBatchFlight(t *testing.T) {
+	cache, err := runcache.New(runcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := batchNeighborhood()[:4]
+	p := workload.SPECint95()
+	opt := RunOptions{Insts: 200_000, Cache: cache}
+	runs0 := simRuns.Value()
+
+	type result struct {
+		reps []system.Report
+		errs []error
+	}
+	batched := make(chan result, 1)
+	go func() {
+		reps, errs := RunBatch(context.Background(), cfgs, p, opt)
+		batched <- result{reps, errs}
+	}()
+	// The batch has claimed every key once its members are advancing.
+	for batchOccupancy.Value() < int64(len(cfgs)) {
+		time.Sleep(time.Millisecond)
+	}
+	m, _ := NewModel(cfgs[2])
+	joined, err := m.RunContext(context.Background(), p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-batched
+	for i, err := range b.errs {
+		if err != nil {
+			t.Fatalf("batch member %d: %v", i, err)
+		}
+	}
+	if s := cache.Stats(); s.Shared != 1 || s.Misses != uint64(len(cfgs)) {
+		t.Fatalf("stats %+v, want %d misses and the RunContext as 1 shared", s, len(cfgs))
+	}
+	if runs := simRuns.Value() - runs0; runs != uint64(len(cfgs)) {
+		t.Fatalf("simulated %d runs, want the batch's %d", runs, len(cfgs))
+	}
+	if reportBytes(t, joined) != reportBytes(t, b.reps[2]) {
+		t.Fatal("joined report differs from the batch member's")
 	}
 }

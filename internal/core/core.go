@@ -60,11 +60,14 @@ type RunOptions struct {
 	// seeds, the expt studies) run concurrently. 0 means GOMAXPROCS, 1
 	// forces a serial run. It never changes results — every job owns its
 	// model and trace state, and results are assembled in submission order.
+	// RunJobs also batches same-trace jobs on its own (see RunJobs), which
+	// likewise never changes a result.
 	Workers int
 	// Cache, when non-nil, serves profile-based runs content-addressed:
 	// the result of an identical (configuration, workload, seed, insts,
 	// model version) run is returned from the cache instead of being
-	// re-simulated, and concurrent identical runs share one simulation.
+	// re-simulated, and concurrent identical runs — lone or batched — share
+	// one simulation.
 	// Results are byte-identical either way (see runcache). Trace-file
 	// runs (RunSourcesContext) are never cached — a file has no stable
 	// content key here.
@@ -86,13 +89,6 @@ type RunOptions struct {
 	// measure the same post-warm-up population) and the per-window detailed
 	// warm-up replaces the classic measurement reset.
 	Sample config.Sampling
-	// Batch, when > 1, lets RunJobs (and the harnesses on it: internal/expt,
-	// cmd/sweep, cmd/accuracy) group up to Batch runs that share a workload
-	// trace (same BatchKey) and execute each group through RunBatch,
-	// decoding the trace once for the whole group. Like Workers it never
-	// changes results — batched Reports are byte-identical to serial ones —
-	// only how the work is scheduled. 0 or 1 disables batching.
-	Batch int
 }
 
 func (o *RunOptions) defaults() {
@@ -180,7 +176,7 @@ func (m *Model) RunSourcesContext(ctx context.Context, label string, srcs []trac
 	if err != nil {
 		return system.Report{}, err
 	}
-	reps, errs := drive(ctx, []member{mb}, nil, nil)
+	reps, errs := drive([]context.Context{ctx}, []member{mb}, nil, nil)
 	return reps[0], errs[0]
 }
 

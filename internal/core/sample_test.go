@@ -353,14 +353,20 @@ func TestSampledSingleWindowMarshals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put(key, r)
+	if _, _, err := cache.GetOrRun(context.Background(), key, func(context.Context) (system.Report, error) {
+		return r, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	cold, err := runcache.New(runcache.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cold.Get(key)
-	if !ok {
-		t.Fatal("single-window report missing from disk cache")
+	got, outcome, err := cold.GetOrRun(context.Background(), key, func(context.Context) (system.Report, error) {
+		return system.Report{}, errors.New("not cached")
+	})
+	if err != nil || outcome != runcache.OutcomeDiskHit {
+		t.Fatalf("single-window report not served from disk: outcome %v err %v", outcome, err)
 	}
 	gb, err := json.Marshal(got)
 	if err != nil {

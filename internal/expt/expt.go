@@ -9,8 +9,9 @@
 // sweep, the experiment service and the public facade call them alike.
 // A study is a set of independent (configuration, workload) simulations —
 // exactly how the paper's team ran them — so each one submits its runs to
-// core.RunJobs (the sched worker pool, batched by core.RunOptions.Batch)
-// and assembles tables from the deterministically ordered results.
+// core.RunJobs (the sched worker pool, which batches same-trace runs into
+// lockstep chunks on its own) and assembles tables from the
+// deterministically ordered results.
 // AllContext runs whole studies concurrently on top of that. Workers = 1
 // (core.RunOptions.Workers) degenerates to the historical serial sweep
 // with identical output.
@@ -64,7 +65,7 @@ func (r *Result) String() string {
 }
 
 // runJobs executes a study's simulations through core.RunJobs (scheduled
-// opt.Workers wide, batched by opt.Batch) and returns the reports in
+// opt.Workers wide, same-trace runs batched) and returns the reports in
 // submission order with the lowest-index job error, so neither workers nor
 // batching change the bytes or the error a caller observes (pinned by
 // TestRunJobsBatchedMatchesSerial).

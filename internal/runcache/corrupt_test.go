@@ -50,7 +50,7 @@ func TestDiskEntryTruncatedAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.Get(key); ok {
+		if _, ok := lookup(c, key); ok {
 			t.Fatalf("cut at %d/%d: truncated entry served as a hit", cut, len(full))
 		}
 		if s := c.Stats(); s.Corrupt != 1 {
@@ -66,7 +66,7 @@ func TestDiskEntryTruncatedAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut at %d: repopulated report mismatch", cut)
 		}
 		c2, _ := New(Options{Dir: dir})
-		if _, ok := c2.Get(key); !ok {
+		if _, ok := lookup(c2, key); !ok {
 			t.Fatalf("cut at %d: repopulated entry not readable", cut)
 		}
 	}
@@ -91,7 +91,7 @@ func TestDiskEntryBitFlips(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, _ := New(Options{Dir: dir})
-			got, ok := c.Get(key)
+			got, ok := lookup(c, key)
 			if ok && !reflect.DeepEqual(got, want) {
 				t.Fatalf("flip bit %d at offset %d: corrupted entry served wrong report", bit, off)
 			}
@@ -109,7 +109,7 @@ func TestDiskEntryWrongKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := New(Options{Dir: dir})
-	if _, ok := c.Get(other); ok {
+	if _, ok := lookup(c, other); ok {
 		t.Fatal("entry with mismatched embedded key served as a hit")
 	}
 	if s := c.Stats(); s.Corrupt != 1 {
@@ -135,7 +135,7 @@ func TestDiskEntryEmptyAndGarbage(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, _ := New(Options{Dir: dir})
-			if _, ok := c.Get(key); ok {
+			if _, ok := lookup(c, key); ok {
 				t.Fatal("invalid entry served as a hit")
 			}
 		})

@@ -108,7 +108,7 @@ func (c *Cache) EntryBytes(id string) ([]byte, bool) {
 	return b, true
 }
 
-// fetchRemote is the miss path's remote-tier probe (called by lead with
+// fetchRemote is the miss path's remote-tier probe (called by claim with
 // no locks held). On a verified hit the entry is persisted to the local
 // disk tier, so the next request — local or a further peer's — is served
 // without re-crossing the network.

@@ -163,10 +163,10 @@ func TestEntryBytesServesBothTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key, rep := remoteTestKey(4), remoteTestReport(4)
+	store(t, c, key, rep)
 	// A remote that panics proves EntryBytes never recurses outward.
 	c.SetRemote(panicRemote{})
-	key, rep := remoteTestKey(4), remoteTestReport(4)
-	c.Put(key, rep)
 
 	b, ok := c.EntryBytes(key.ID())
 	if !ok {

@@ -14,15 +14,25 @@
 // temp-file + rename) that makes sweeps incremental across process runs.
 // Disk entries carry a checksum envelope; a partially written or corrupted
 // file is detected, discarded, and treated as a miss — never returned as a
-// wrong result. Concurrent requests for the same key share one underlying
-// simulation (singleflight dedup), which is what lets an HTTP service
-// absorb a burst of identical requests with a single model run.
+// wrong result.
+//
+// Every run in progress is a flight in the cache's one flight table, and
+// every caller — a lone HTTP request (GetOrRun) or a lockstep batch of
+// many keys (Claim, then Complete and Wait) — goes through it. Concurrent
+// requests for the same key therefore share one underlying simulation
+// (singleflight dedup), which is what lets an HTTP service absorb a burst
+// of identical requests with a single model run, and a batch never
+// simulates a key that another caller is already running. A flight is
+// owned by the cache, not by the caller that leads it: it runs on a
+// context detached from the leader's, and a reference count cancels it
+// only when its last waiter, leader included, has gone.
 package runcache
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -61,7 +71,7 @@ func (k Key) ID() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Outcome classifies how a GetOrRun request was served.
+// Outcome classifies how a key was served (GetOrRun, Claim).
 type Outcome int
 
 const (
@@ -117,9 +127,9 @@ type Stats struct {
 	// PeerHits counts requests served from a peer node via the remote
 	// tier (verified, then persisted locally).
 	PeerHits uint64
-	// Misses counts requests that ran a new simulation.
+	// Misses counts flights completed with a new simulation.
 	Misses uint64
-	// Shared counts requests that joined an in-flight simulation.
+	// Shared counts requests that joined a flight in progress.
 	Shared uint64
 	// Errors counts runner failures (never cached).
 	Errors uint64
@@ -139,12 +149,25 @@ type Stats struct {
 // Hits returns the total cache-served requests (all tiers + shared).
 func (s Stats) Hits() uint64 { return s.MemoryHits + s.DiskHits + s.PeerHits + s.Shared }
 
-// flight is one in-progress simulation that identical concurrent requests
-// attach to.
+// flight is one in-progress run of a key. It belongs to the cache, not to
+// the caller that leads it: it runs on a context detached from the
+// leader's, and refs counts the callers still waiting for it, leader
+// included. The run is cancelled only when the last of them has left.
 type flight struct {
-	done chan struct{}
-	rep  system.Report
-	err  error
+	id    string
+	key   Key
+	start time.Time
+	done  chan struct{} // closed by finish
+
+	ctx    context.Context // the run's context
+	cancel context.CancelFunc
+	stop   func() bool // unwatches the leader's context; nil if it cannot end
+	refs   int         // waiters still interested, leader included (c.mu)
+
+	// rep and err are the result, set before done closes. rep is the
+	// cache's stored copy and is never mutated: waiters clone it.
+	rep system.Report
+	err error
 }
 
 // memEntry is one LRU node. The key rides along so the entry can be
@@ -221,9 +244,45 @@ func cloneReport(r system.Report) system.Report {
 	return r
 }
 
-// Get returns the cached report for key, consulting memory then disk,
-// without running anything on a miss.
-func (c *Cache) Get(key Key) (system.Report, bool) {
+// ErrAbandoned fails the waiters of a flight whose leader stopped without
+// completing it: its run panicked or its goroutine exited.
+var ErrAbandoned = errors.New("runcache: run abandoned before completing its flight")
+
+// A Ticket is one key's place in a Claim.
+type Ticket struct {
+	// Outcome says how the key is served. A hit (OutcomeMemoryHit,
+	// OutcomeDiskHit, OutcomeRemoteHit) carries its report in Report.
+	// OutcomeShared joined another caller's flight: Wait for it.
+	// OutcomeMiss leads a new flight: run it on Context and Complete it.
+	Outcome Outcome
+	// Report is a hit's report; the caller owns it.
+	Report system.Report
+
+	f *flight
+}
+
+// Context is the context a led flight (OutcomeMiss) runs on. It outlives
+// the leader's own context while other callers wait for the flight, and
+// is cancelled once none is left.
+func (t *Ticket) Context() context.Context { return t.f.ctx }
+
+// Claim registers the caller on every key and returns one Ticket per key,
+// index-aligned. Each key is looked up in the same order: the memory tier,
+// then a flight in progress (joined), then the disk tier, then the remote
+// tier, and only then a new flight this caller leads. The caller must
+// Complete every flight it leads before it Waits for any it joined, so a
+// key listed twice collapses into one run: its second ticket joins the
+// first one's flight.
+func (c *Cache) Claim(ctx context.Context, keys []Key) []Ticket {
+	ts := make([]Ticket, len(keys))
+	for i, key := range keys {
+		ts[i] = c.claim(ctx, key)
+	}
+	return ts
+}
+
+// claim is Claim for one key.
+func (c *Cache) claim(ctx context.Context, key Key) Ticket {
 	id := key.ID()
 	c.mu.Lock()
 	if n, ok := c.mem[id]; ok {
@@ -233,90 +292,71 @@ func (c *Cache) Get(key Key) (system.Report, bool) {
 		rep := cloneReport(n.rep)
 		c.mu.Unlock()
 		evMemHit.Inc()
-		return rep, true
-	}
-	c.mu.Unlock()
-	if rep, ok := c.loadDisk(id, key); ok {
-		c.mu.Lock()
-		c.insert(id, key, rep)
-		c.stats.DiskHits++
-		c.stats.HitInstructions += rep.Committed
-		c.mu.Unlock()
-		evDiskHit.Inc()
-		return cloneReport(rep), true
-	}
-	return system.Report{}, false
-}
-
-// Put inserts a simulated result under key: the memory tier and, when
-// configured, the disk tier. It counts one miss, mirroring GetOrRun's
-// accounting — a Put is the completion of a request the cache could not
-// serve, so Hits+Misses still totals the requests a Get/Put caller made.
-// The lockstep batch driver (internal/core RunBatch) uses Get/Put around a
-// batched run, where GetOrRun's one-runner-per-key shape does not fit:
-// hits are peeled off the batch up front and every simulated member is
-// stored individually on completion. Failed or cancelled members are never
-// Put, preserving GetOrRun's never-cache-errors rule.
-func (c *Cache) Put(key Key, rep system.Report) {
-	id := key.ID()
-	c.storeDisk(id, key, rep)
-	c.mu.Lock()
-	c.insert(id, key, rep)
-	c.stats.Misses++
-	c.mu.Unlock()
-	evMiss.Inc()
-}
-
-// GetOrRun returns the cached report for key, or executes run exactly once
-// to produce it. Concurrent calls with the same key share one execution:
-// the first caller becomes the leader and runs with its own context; later
-// callers block until the leader finishes (or their own context is
-// cancelled) and receive the leader's result with OutcomeShared. Failed
-// runs are never cached — the error propagates to the leader and every
-// waiter, and the next request retries.
-func (c *Cache) GetOrRun(ctx context.Context, key Key, run func(context.Context) (system.Report, error)) (system.Report, Outcome, error) {
-	id := key.ID()
-	c.mu.Lock()
-	if n, ok := c.mem[id]; ok {
-		c.moveToFront(n)
-		c.stats.MemoryHits++
-		c.stats.HitInstructions += n.rep.Committed
-		rep := cloneReport(n.rep)
-		c.mu.Unlock()
-		evMemHit.Inc()
-		return rep, OutcomeMemoryHit, nil
+		return Ticket{Outcome: OutcomeMemoryHit, Report: rep}
 	}
 	if f, ok := c.flights[id]; ok {
+		f.refs++
 		c.stats.Shared++
 		c.mu.Unlock()
 		evShared.Inc()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return system.Report{}, OutcomeShared, f.err
-			}
-			c.mu.Lock()
-			c.stats.HitInstructions += f.rep.Committed
-			c.mu.Unlock()
-			return cloneReport(f.rep), OutcomeShared, nil
-		case <-ctx.Done():
-			return system.Report{}, OutcomeShared, ctx.Err()
-		}
+		return Ticket{Outcome: OutcomeShared, f: f}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{id: id, key: key, start: time.Now(), done: make(chan struct{}), refs: 1}
+	f.ctx, f.cancel = context.WithCancel(context.WithoutCancel(ctx))
+	if ctx.Done() != nil {
+		// The leader leaves when its own context ends, as a waiter would.
+		f.stop = context.AfterFunc(ctx, func() { c.leave(f) })
+	}
 	c.flights[id] = f
 	c.mu.Unlock()
 
-	rep, outcome, err := c.lead(ctx, id, key, run)
-	f.rep, f.err = rep, err
+	if rep, ok := c.loadDisk(id, key); ok {
+		c.finish(f, rep, nil, OutcomeDiskHit)
+		return Ticket{Outcome: OutcomeDiskHit, Report: rep}
+	}
+	if rep, ok := c.fetchRemote(ctx, id, key); ok {
+		c.finish(f, rep, nil, OutcomeRemoteHit)
+		return Ticket{Outcome: OutcomeRemoteHit, Report: rep}
+	}
+	return Ticket{Outcome: OutcomeMiss, f: f}
+}
+
+// Complete finishes a flight the caller leads (an OutcomeMiss ticket). A
+// successful report is stored in the memory and disk tiers and handed to
+// every waiter; an error is handed to every waiter and never cached, so
+// the next request runs again. Completing a finished flight is a no-op,
+// which lets a leader defer Complete(t, system.Report{}, ErrAbandoned) as
+// a guard against a run that panics.
+func (c *Cache) Complete(t *Ticket, rep system.Report, err error) {
+	c.finish(t.f, rep, err, OutcomeMiss)
+}
+
+// finish completes f with the result of the tier named by outcome. Only
+// the flight's leader calls it.
+func (c *Cache) finish(f *flight, rep system.Report, err error, outcome Outcome) {
+	select {
+	case <-f.done:
+		return
+	default:
+	}
+	if f.stop != nil {
+		f.stop()
+	}
+	if outcome == OutcomeMiss {
+		runSeconds.ObserveSince(f.start)
+		if err == nil {
+			c.storeDisk(f.id, f.key, rep)
+		}
+	}
 	c.mu.Lock()
-	delete(c.flights, id)
-	switch {
-	case err != nil:
+	if c.flights[f.id] == f {
+		delete(c.flights, f.id)
+	}
+	if err != nil {
 		c.stats.Errors++
 		evError.Inc()
-	default:
-		c.insert(id, key, rep)
+	} else {
+		f.rep = c.insert(f.id, f.key, rep)
 		switch outcome {
 		case OutcomeDiskHit:
 			c.stats.DiskHits++
@@ -331,43 +371,82 @@ func (c *Cache) GetOrRun(ctx context.Context, key Key, run func(context.Context)
 			evMiss.Inc()
 		}
 	}
+	f.err = err
 	c.mu.Unlock()
+	f.cancel()
 	close(f.done)
-	if err != nil {
-		return rep, outcome, err
-	}
-	return cloneReport(rep), outcome, nil
 }
 
-// lead is the flight leader's path: disk tier first, then the remote
-// (peer) tier, then the runner. A successful simulation is persisted to
-// disk before the flight completes.
-func (c *Cache) lead(ctx context.Context, id string, key Key, run func(context.Context) (system.Report, error)) (system.Report, Outcome, error) {
-	if rep, ok := c.loadDisk(id, key); ok {
-		return rep, OutcomeDiskHit, nil
+// Wait returns the result of the flight an OutcomeShared ticket joined:
+// the leader's report (the caller's own copy) or its error. If ctx ends
+// first, the caller leaves the flight and gets ctx.Err(); the run goes on
+// for the callers still waiting.
+func (c *Cache) Wait(ctx context.Context, t *Ticket) (system.Report, error) {
+	f := t.f
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		c.leave(f)
+		return system.Report{}, ctx.Err()
 	}
-	if rep, ok := c.fetchRemote(ctx, id, key); ok {
-		return rep, OutcomeRemoteHit, nil
+	if f.err != nil {
+		return system.Report{}, f.err
 	}
-	t0 := time.Now()
-	rep, err := run(ctx)
-	runSeconds.ObserveSince(t0)
-	if err != nil {
+	c.mu.Lock()
+	c.stats.HitInstructions += f.rep.Committed
+	c.mu.Unlock()
+	return cloneReport(f.rep), nil
+}
+
+// leave drops one waiter from an unfinished flight. When the last one —
+// leader included — has left, the run is cancelled and the flight leaves
+// the table, so the next request for its key leads a fresh run. On a
+// finished flight it does nothing that matters.
+func (c *Cache) leave(f *flight) {
+	c.mu.Lock()
+	f.refs--
+	last := f.refs == 0
+	if last && c.flights[f.id] == f {
+		delete(c.flights, f.id)
+	}
+	c.mu.Unlock()
+	if last {
+		f.cancel()
+	}
+}
+
+// GetOrRun is Claim for one key. On a hit it returns the cached report; on
+// a flight in progress it waits for it (OutcomeShared); otherwise it runs
+// run on the flight's context and completes the flight with the result
+// (OutcomeMiss). A leader whose own ctx ends keeps running while other
+// callers wait for its flight. Failed runs are never cached — the error
+// goes to the leader and every waiter, and the next request runs again.
+func (c *Cache) GetOrRun(ctx context.Context, key Key, run func(context.Context) (system.Report, error)) (system.Report, Outcome, error) {
+	t := c.claim(ctx, key)
+	switch t.Outcome {
+	case OutcomeShared:
+		rep, err := c.Wait(ctx, &t)
+		return rep, OutcomeShared, err
+	case OutcomeMiss:
+		defer c.Complete(&t, system.Report{}, ErrAbandoned)
+		rep, err := run(t.Context())
+		c.Complete(&t, rep, err)
 		return rep, OutcomeMiss, err
 	}
-	c.storeDisk(id, key, rep)
-	return rep, OutcomeMiss, nil
+	return t.Report, t.Outcome, nil
 }
 
 // ---- memory LRU tier (callers hold c.mu) ----
 
-func (c *Cache) insert(id string, key Key, rep system.Report) {
+// insert stores a copy of rep under id and returns the stored copy.
+func (c *Cache) insert(id string, key Key, rep system.Report) system.Report {
+	rep = cloneReport(rep)
 	if n, ok := c.mem[id]; ok {
 		n.rep = rep
 		c.moveToFront(n)
-		return
+		return rep
 	}
-	n := &lruNode{memEntry: memEntry{id: id, key: key, rep: cloneReport(rep)}}
+	n := &lruNode{memEntry: memEntry{id: id, key: key, rep: rep}}
 	c.mem[id] = n
 	c.pushFront(n)
 	c.n++
@@ -379,6 +458,7 @@ func (c *Cache) insert(id string, key Key, rep system.Report) {
 		c.stats.Evictions++
 		evEviction.Inc()
 	}
+	return rep
 }
 
 func (c *Cache) pushFront(n *lruNode) {

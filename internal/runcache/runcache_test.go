@@ -47,6 +47,27 @@ func testKey(seed int64) Key {
 	}
 }
 
+// errNotCached fails lookup's runner: a lookup never simulates.
+var errNotCached = errors.New("not cached")
+
+// lookup serves key from the cache's tiers without running anything.
+func lookup(c *Cache, key Key) (system.Report, bool) {
+	rep, _, err := c.GetOrRun(context.Background(), key, func(context.Context) (system.Report, error) {
+		return system.Report{}, errNotCached
+	})
+	return rep, err == nil
+}
+
+// store runs key to rep through the cache, as a miss.
+func store(t *testing.T, c *Cache, key Key, rep system.Report) {
+	t.Helper()
+	if _, outcome, err := c.GetOrRun(context.Background(), key, func(context.Context) (system.Report, error) {
+		return rep, nil
+	}); err != nil || outcome != OutcomeMiss {
+		t.Fatalf("store: outcome %v err %v", outcome, err)
+	}
+}
+
 func TestKeyID(t *testing.T) {
 	a, b := testKey(1), testKey(1)
 	if a.ID() != b.ID() {

@@ -28,6 +28,16 @@ func resolveTestKey(t *testing.T, req RunRequest) runcache.Key {
 	return rr.Key
 }
 
+// putEntry stores rep under key in cache, as a completed run.
+func putEntry(t *testing.T, cache *runcache.Cache, key runcache.Key, rep system.Report) {
+	t.Helper()
+	if _, _, err := cache.GetOrRun(context.Background(), key, func(context.Context) (system.Report, error) {
+		return rep, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCacheEntryEndpoint covers the serving side of the peer protocol:
 // malformed ids are 400, unknown ids are 404, and a cached entry comes
 // back as a verifiable envelope.
@@ -40,7 +50,7 @@ func TestCacheEntryEndpoint(t *testing.T) {
 
 	key := resolveTestKey(t, RunRequest{Workload: "specint95", Seed: 9})
 	rep := fakeReport(9)
-	cache.Put(key, rep)
+	putEntry(t, cache, key, rep)
 
 	for _, tc := range []struct {
 		path string
@@ -90,7 +100,7 @@ func TestPeerSharedCache(t *testing.T) {
 	body := `{"workload":"specint95","seed":11}`
 	key := resolveTestKey(t, RunRequest{Workload: "specint95", Seed: 11})
 	rep := fakeReport(11)
-	cacheA.Put(key, rep)
+	putEntry(t, cacheA, key, rep)
 
 	cacheB, err := runcache.New(runcache.Options{})
 	if err != nil {

@@ -563,3 +563,88 @@ func TestStudyEndpoint(t *testing.T) {
 		t.Fatal("warm study response differs from cold")
 	}
 }
+
+// TestBurstLeaderDisconnect: the flight belongs to the cache, not to the
+// request that leads it. When the leader's client hangs up mid-run, the
+// simulation goes on for the burst's joiners, and all 7 get 200 and
+// "dedup" from one simulation.
+func TestBurstLeaderDisconnect(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 4})
+	const joiners = 7
+	const body = `{"workload":"specint95","seed":9}`
+	var started atomic.Uint64
+	leading, cancelled, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s.simulate = func(ctx context.Context, m *core.Model, p workload.Profile, opt core.RunOptions) (system.Report, error) {
+		if started.Add(1) == 1 {
+			close(leading)
+		}
+		select {
+		case <-release:
+			return fakeReport(9), nil
+		case <-ctx.Done():
+			close(cancelled)
+			return system.Report{}, ctx.Err()
+		}
+	}
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leaderGone := make(chan struct{})
+	go func() {
+		defer close(leaderGone)
+		req, err := http.NewRequestWithContext(leaderCtx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Error("leader request completed; it was meant to hang up mid-run")
+		}
+	}()
+	<-leading
+
+	outcomes := make(chan string, joiners)
+	for i := 0; i < joiners; i++ {
+		go func() {
+			resp, b := postRun(t, ts.URL, body)
+			if resp.StatusCode != http.StatusOK {
+				outcomes <- fmt.Sprintf("status %d: %s", resp.StatusCode, b)
+				return
+			}
+			var rr RunResponse
+			if err := json.Unmarshal(b, &rr); err != nil {
+				outcomes <- err.Error()
+				return
+			}
+			outcomes <- rr.Cache
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.cache.Stats().Shared != joiners {
+		if time.Now().After(deadline) {
+			t.Fatalf("joiners stalled: stats %+v", s.cache.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hangUp()
+	<-leaderGone
+	// Give the server time to see the disconnect. A run on the leader's
+	// request context would be cancelled within this window.
+	select {
+	case <-cancelled:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+
+	counts := map[string]int{}
+	for i := 0; i < joiners; i++ {
+		counts[<-outcomes]++
+	}
+	if counts["dedup"] != joiners {
+		t.Fatalf("outcomes = %v, want %d dedup", counts, joiners)
+	}
+	if got := started.Load(); got != 1 {
+		t.Fatalf("burst ran %d simulations, want 1", got)
+	}
+}

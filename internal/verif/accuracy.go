@@ -94,10 +94,10 @@ func PhysicalMachineProxy(cfg config.Config) config.Config {
 
 // RunAccuracyStudyContext runs every model version and the machine proxy on
 // the workload and assembles the Figure 19 series. The machine proxy and
-// the eight versions are independent jobs (core.RunJobs) sharing ctx; with
-// opt.Batch > 1 the ladder's rungs — nine configurations of the same trace
-// — run as lockstep batches sharing one decoded stream, and the study's
-// numbers are byte-identical either way.
+// the eight versions are independent jobs (core.RunJobs) sharing ctx. The
+// rungs are nine configurations of the same trace, so RunJobs runs them as
+// lockstep batches sharing one decoded stream; the study's numbers are
+// byte-identical to running each rung on its own.
 func RunAccuracyStudyContext(ctx context.Context, base config.Config, p workload.Profile, opt core.RunOptions) (AccuracyStudy, error) {
 	study := AccuracyStudy{Workload: p.Name}
 	versions := core.Versions()

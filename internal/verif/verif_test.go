@@ -203,30 +203,42 @@ func TestAccuracyStudy(t *testing.T) {
 	}
 }
 
-// TestAccuracyStudyBatchedMatchesSerial: the ladder's lockstep-batched path
-// (opt.Batch > 1) must reproduce the serial study exactly — same IPCs, same
-// ratios — including when the chunk size forces the nine rungs to split
-// across several batches.
+// TestAccuracyStudyBatchedMatchesSerial: the ladder's rungs — nine
+// configurations of one trace — run as lockstep batches, and the study
+// must equal one built from each rung's own serial run, at every worker
+// count (which changes how the rungs split into batches: one batch of 8
+// plus one, 3 × 3, or 4 × 2 plus one).
 func TestAccuracyStudyBatchedMatchesSerial(t *testing.T) {
-	opt := core.RunOptions{Insts: 40_000, Workers: 1}
-	want, err := RunAccuracyStudyContext(context.Background(), config.Base(), workload.SPECint2000(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{4, 16} {
-		bo := opt
-		bo.Batch = batch
-		bo.Workers = 2
-		got, err := RunAccuracyStudyContext(context.Background(), config.Base(), workload.SPECint2000(), bo)
+	base, p := config.Base(), workload.SPECint2000()
+	opt := core.RunOptions{Insts: 40_000}
+	ipc := func(cfg config.Config) float64 {
+		m, err := core.NewModel(cfg)
 		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+			t.Fatal(err)
 		}
-		if got.MachineIPC != want.MachineIPC {
-			t.Errorf("batch=%d: machine IPC %v, want %v", batch, got.MachineIPC, want.MachineIPC)
+		rep, err := m.RunContext(context.Background(), p, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Points {
-			if got.Points[i] != want.Points[i] {
-				t.Errorf("batch=%d: point %d = %+v, want %+v", batch, i, got.Points[i], want.Points[i])
+		return rep.IPC()
+	}
+	machine := ipc(PhysicalMachineProxy(base))
+	var rungs []float64
+	for _, v := range core.Versions() {
+		rungs = append(rungs, ipc(v.Apply(base)))
+	}
+	for _, workers := range []int{1, 4, 8} {
+		opt.Workers = workers
+		got, err := RunAccuracyStudyContext(context.Background(), base, p, opt)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.MachineIPC != machine {
+			t.Errorf("workers=%d: machine IPC %v, want %v", workers, got.MachineIPC, machine)
+		}
+		for i, want := range rungs {
+			if got.Points[i].IPC != want {
+				t.Errorf("workers=%d: %s IPC %v, want %v", workers, got.Points[i].Name, got.Points[i].IPC, want)
 			}
 		}
 	}
