@@ -202,6 +202,7 @@ func (r *fullRun) finish(cerr error) (system.Report, error) {
 	meter(rep.Committed, rep.Cycles)
 	endReport()
 	spanReport(r.sp, rep)
+	spanWork(r.sp, r.sys)
 	r.sp.Finish()
 	return rep, r.m.runErr(r.label, r.opt, cerr, r.capped)
 }

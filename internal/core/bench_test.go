@@ -1,9 +1,10 @@
 package core
 
 // Full-run vs sampled-run benchmarks: the pair that quantifies the sampled
-// simulation speedup on identical inputs. The benchdiff gate
-// (scripts/benchdiff.sh) tracks both, so a regression that erodes the
-// fast-forward advantage — or an allocation added to either path — fails CI.
+// simulation speedup on identical inputs, plus a multiprocessor full run.
+// The benchdiff gate (scripts/benchdiff.sh) tracks them all, so a
+// regression that erodes the fast-forward advantage — or an allocation
+// added to any path — fails CI.
 // The headline multiprocessor speedup artifact (BENCH_*.json) is produced
 // from these numbers plus the MP validation run in DESIGN.md.
 
@@ -21,17 +22,17 @@ func benchSampleSchedule() config.Sampling {
 	return config.Sampling{IntervalInsts: 40_000, WarmupInsts: 2_000, MeasureInsts: 3_000}
 }
 
-func benchRun(b *testing.B, opt RunOptions) {
+func benchRun(b *testing.B, cfg config.Config, p workload.Profile, opt RunOptions) {
 	b.Helper()
 	b.ReportAllocs()
-	m, err := NewModel(config.Base())
+	m, err := NewModel(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
+		r, err := m.RunContext(context.Background(), p, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,11 +43,18 @@ func benchRun(b *testing.B, opt RunOptions) {
 }
 
 func BenchmarkFullRun(b *testing.B) {
-	benchRun(b, RunOptions{Insts: 120_000})
+	benchRun(b, config.Base(), workload.SPECint95(), RunOptions{Insts: 120_000})
 }
 
 func BenchmarkSampledRun(b *testing.B) {
-	benchRun(b, RunOptions{Insts: 120_000, Sample: benchSampleSchedule()})
+	benchRun(b, config.Base(), workload.SPECint95(), RunOptions{Insts: 120_000, Sample: benchSampleSchedule()})
+}
+
+// BenchmarkSMPRun is the multiprocessor full run: TPC-C 16P on four CPUs,
+// 30k instructions each. Its CPI is high, so most CPU-cycles are quiet:
+// this is where the event-driven cycle loop's skipping shows.
+func BenchmarkSMPRun(b *testing.B) {
+	benchRun(b, config.Base().WithCPUs(4), workload.TPCC16P(), RunOptions{Insts: 30_000})
 }
 
 // benchSweep runs the stock 8-configuration neighborhood (the batch tests'

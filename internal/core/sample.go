@@ -503,6 +503,7 @@ func (r *sampledRun) finish(cerr error) (system.Report, error) {
 	meter(detInsts, r.sys.Cycle())
 	endReport()
 	spanReport(r.sp, rep)
+	spanWork(r.sp, r.sys)
 	r.sp.Add("ff_insts", int64(ffInsts))
 	r.sp.Add("sample_windows", int64(len(r.windows)))
 	r.sp.Finish()

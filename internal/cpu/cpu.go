@@ -5,9 +5,11 @@
 // forwarding (section 3.1), non-blocking dual operand access with an
 // 8-banked L1 (section 3.2), and in-order 4-wide commit.
 //
-// The model is trace-driven and cycle-driven: System calls Tick once per
-// cycle; stages are processed commit-first so that a freed resource is
-// usable one cycle later, never earlier.
+// The model is trace-driven and cycle-accurate, and event-driven in which
+// cycles it executes: a tick processes the stages commit-first, so that a
+// freed resource is usable one cycle later, never earlier; a tick that does
+// nothing puts the CPU to sleep until its next timestamp (wake.go), and
+// System skips it until then, crediting the skipped cycles in bulk.
 package cpu
 
 import (
@@ -226,6 +228,13 @@ type CPU struct {
 	// MemObserver). Set before the first Tick; never mid-run.
 	Observer MemObserver
 
+	// Event-driven ticking (wake.go). Tick runs at wakeAt; a quiet tick
+	// repeats through [sleptFrom, wakeAt), bumping the counters in credit.
+	wakeAt, sleptFrom uint64
+	acted             bool
+	credit            [numCredits]*uint64
+	ticked, skipped   uint64
+
 	warmupLeft uint64
 	// Stats is the exported counter block.
 	Stats Stats
@@ -368,12 +377,19 @@ func (c *CPU) Done() bool {
 		c.inFlight() == 0 && c.drainLen() == 0
 }
 
-// Tick advances the core by one cycle. Stage order is reverse-pipeline so
-// same-cycle structural effects flow realistically.
+// Tick advances the core by one cycle, first crediting any cycles it slept
+// through. Stage order is reverse-pipeline so same-cycle structural
+// effects flow realistically. Ticking every cycle, asleep or not, is exact;
+// System ticks a CPU only from its WakeAt.
 func (c *CPU) Tick(cycle uint64) {
+	c.Settle(cycle)
 	if c.Done() {
+		c.wakeAt, c.sleptFrom = never, never
 		return
 	}
+	c.ticked++
+	c.acted = false
+	c.credit = [numCredits]*uint64{}
 	c.Stats.Cycles++
 	before := c.Stats.Committed
 	c.commit(cycle)
@@ -385,6 +401,7 @@ func (c *CPU) Tick(cycle uint64) {
 	c.dispatch(cycle)
 	c.issue(cycle)
 	c.fetch(cycle)
+	c.sleep(cycle)
 }
 
 // commit retires up to CommitWidth completed instructions in order.
@@ -426,6 +443,7 @@ func (c *CPU) commit(cycle uint64) {
 		}
 		e.st = stEmpty
 		c.head++
+		c.acted = true
 		c.Stats.Committed++
 		c.Stats.CommittedByClass[e.rec.Op]++
 		if c.warmupLeft > 0 {
@@ -473,24 +491,25 @@ func (c *CPU) releaseRename(e *robEntry) {
 // attributeZeroCommit classifies a cycle in which nothing retired by the
 // condition blocking the window head.
 func (c *CPU) attributeZeroCommit(cycle uint64) {
+	s := &c.Stats
 	if c.head == c.tail {
-		c.Stats.ZeroCommitFrontend++
+		c.bump(creditZeroCommit, &s.ZeroCommitFrontend)
 		return
 	}
 	e := &c.window[c.head&c.winMask]
 	switch {
 	case e.st == stWaiting:
-		c.Stats.ZeroCommitRS++
+		c.bump(creditZeroCommit, &s.ZeroCommitRS)
 	case e.rec.Op.IsMemory() && (e.completeCycle == never || e.completeCycle > cycle):
-		c.Stats.ZeroCommitMemory++
+		c.bump(creditZeroCommit, &s.ZeroCommitMemory)
 	case e.completeCycle > cycle:
-		c.Stats.ZeroCommitExecute++
+		c.bump(creditZeroCommit, &s.ZeroCommitExecute)
 	case e.specUntil > cycle:
-		c.Stats.ZeroCommitSpec++
+		c.bump(creditZeroCommit, &s.ZeroCommitSpec)
 	case e.isStore():
-		c.Stats.ZeroCommitMemory++ // store data not captured yet
+		c.bump(creditZeroCommit, &s.ZeroCommitMemory) // store data not captured yet
 	default:
-		c.Stats.ZeroCommitExecute++
+		c.bump(creditZeroCommit, &s.ZeroCommitExecute)
 	}
 }
 

@@ -26,35 +26,36 @@ func (c *CPU) issue(cycle uint64) {
 		rec := &fi.rec
 
 		if c.inFlight() >= c.windowSize {
-			c.Stats.StallWindow++
+			c.bump(creditStall, &c.Stats.StallWindow)
 			return
 		}
 		if rec.HasDst() {
 			if isa.IsIntReg(rec.Dst) {
 				if c.intInFlight >= c.intRename {
-					c.Stats.StallRename++
+					c.bump(creditStall, &c.Stats.StallRename)
 					return
 				}
 			} else if c.fpInFlight >= c.fpRename {
-				c.Stats.StallRename++
+				c.bump(creditStall, &c.Stats.StallRename)
 				return
 			}
 		}
 		st := c.stationFor(rec.Op)
 		if st >= 0 && !c.stationHasRoom(st, cycle) {
-			c.Stats.StallRS++
+			c.bump(creditStall, &c.Stats.StallRS)
 			return
 		}
 		if rec.Op == isa.Load && c.lqCount >= c.lqEntries {
-			c.Stats.StallLQ++
+			c.bump(creditStall, &c.Stats.StallLQ)
 			return
 		}
 		if rec.Op == isa.Store && c.sqCount >= c.sqEntries {
-			c.Stats.StallSQ++
+			c.bump(creditStall, &c.Stats.StallSQ)
 			return
 		}
 
 		// Allocate.
+		c.acted = true
 		seq := c.tail
 		c.tail++
 		e := &c.window[seq&c.winMask]
@@ -224,7 +225,7 @@ func (c *CPU) compactStation(st int, cycle uint64) {
 	c.stations[st] = s
 }
 
-// stationHasRoom checks capacity (stations are compacted once per cycle at
+// stationHasRoom checks capacity (stations are compacted once per tick at
 // the top of issue).
 func (c *CPU) stationHasRoom(st int, cycle uint64) bool {
 	return len(c.stations[st]) < c.stationCaps[st]
@@ -321,6 +322,7 @@ func (c *CPU) schedule(e *robEntry, st, unit int, cycle uint64, specUntil uint64
 	execStart := cycle + execOffset
 	done := execStart + uint64(lat.Cycles)
 
+	c.acted = true
 	e.st = stDispatched
 	e.dispCycle = cycle
 	e.specUntil = specUntil
@@ -378,6 +380,7 @@ func (c *CPU) processReveals(cycle uint64) {
 }
 
 func (c *CPU) applyReveal(r reveal) {
+	c.acted = true
 	e := c.entry(r.seq)
 	if e == nil {
 		return

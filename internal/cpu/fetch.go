@@ -12,12 +12,10 @@ import (
 // up as the fetch gap between the branch and its resolution.
 func (c *CPU) fetch(cycle uint64) {
 	if cycle < c.fetchResumeAt {
-		if c.blockSeq != 0 {
-			c.Stats.FetchStallBranch++
-		} else if c.fetchResumeAt != never {
-			c.Stats.FetchStallICache++
+		if c.blockSeq != 0 || c.fetchResumeAt == never {
+			c.bump(creditFetchStall, &c.Stats.FetchStallBranch)
 		} else {
-			c.Stats.FetchStallBranch++
+			c.bump(creditFetchStall, &c.Stats.FetchStallICache)
 		}
 		return
 	}
@@ -28,10 +26,11 @@ func (c *CPU) fetch(cycle uint64) {
 		if c.fetchBufLen() >= c.fetchBufCap {
 			return
 		}
+		if !c.pendingValid && c.srcDone {
+			return
+		}
+		c.acted = true // reads the source or probes the I-cache
 		if !c.pendingValid {
-			if c.srcDone {
-				return
-			}
 			if !c.src.Next(&c.pendingRec) {
 				c.srcDone = true
 				return

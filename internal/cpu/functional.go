@@ -84,6 +84,7 @@ func (f *FastForward) Step(r *trace.Record) {
 // called when the CPU is Done (pipeline drained).
 func (c *CPU) ResumeSource() {
 	c.srcDone = false
+	c.wakeAt, c.sleptFrom = 0, 0
 	// Force a fresh I-cache probe: fast-forward may have moved execution far
 	// from the line the fetch stage last remembered.
 	c.haveLine = false

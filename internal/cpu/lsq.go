@@ -41,6 +41,7 @@ func (c *CPU) lsqTick(cycle uint64) {
 			e.accessed || e.addrReady > cycle {
 			continue
 		}
+		c.acted = true // every access attempt acts, retries included
 		if c.storeForward {
 			if ready, ok, wait := c.forwardFromStore(e, cycle); ok {
 				ports--
@@ -95,6 +96,7 @@ func (c *CPU) lsqTick(cycle uint64) {
 
 	// Committed stores drain in order with leftover ports.
 	for ports > 0 && c.drainLen() > 0 && c.drainQ[c.drainHead].ok <= cycle {
+		c.acted = true
 		d := c.drainQ[c.drainHead]
 		if !checkBank(d.addr) {
 			break

@@ -400,10 +400,8 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req server.RunRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := server.DecodeRequest(bytes.NewReader(body), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

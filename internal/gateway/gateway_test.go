@@ -145,3 +145,29 @@ func TestCandidatesBoundedLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingBodyBytes pins that the gateway rejects what its workers
+// reject: bytes after the JSON object are a 400, answered at the edge for
+// runs (nothing is routed or simulated) and by the worker for estimates,
+// which the gateway forwards verbatim.
+func TestTrailingBodyBytes(t *testing.T) {
+	nodes, _, gwts := startCluster(t, 1)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/run", `{"workload":"tpcc"}junk`},
+		{"/v1/run", `{"workload":"tpcc"}{}`},
+		{"/v1/estimate", `{"workload":"tpcc"}junk`},
+	} {
+		resp, err := http.Post(gwts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %q: status %d (%s), want 400", tc.path, tc.body, resp.StatusCode, b)
+		}
+	}
+	if n := totalSimulations(nodes); n != 0 {
+		t.Errorf("%d simulations ran for rejected bodies", n)
+	}
+}

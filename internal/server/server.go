@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -643,13 +644,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.WritePrometheus(w)
 }
 
+// DecodeRequest strictly decodes a request body into v: one JSON object
+// with no unknown fields, followed by nothing but whitespace. The worker
+// and the gateway share it, so both reject the same bodies.
+func DecodeRequest(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+		return err
+	}
+	return nil
+}
+
 // decodeBody strictly decodes a POST body of at most MaxBodyBytes into v.
 // On failure it writes the client error — 413 for an oversized body, 400
 // otherwise — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v); err != nil {
 		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxBodyBytes)
 		} else {

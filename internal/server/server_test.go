@@ -648,3 +648,40 @@ func TestBurstLeaderDisconnect(t *testing.T) {
 		t.Fatalf("burst ran %d simulations, want 1", got)
 	}
 }
+
+// TestTrailingBodyBytes pins that a body is exactly one JSON object: bytes
+// after it are the client's 400 on both endpoints, before anything runs,
+// while trailing whitespace (a newline from a shell pipe) is accepted.
+func TestTrailingBodyBytes(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var runs atomic.Int64
+	s.simulate = func(ctx context.Context, m *core.Model, p workload.Profile, opt core.RunOptions) (system.Report, error) {
+		runs.Add(1)
+		return fakeReport(uint64(opt.Seed)), nil
+	}
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/run", `{"workload":"tpcc"}junk`, http.StatusBadRequest},
+		{"/v1/run", `{"workload":"tpcc"}{"workload":"tpcc"}`, http.StatusBadRequest},
+		{"/v1/run", `{"workload":"tpcc"} 0`, http.StatusBadRequest},
+		{"/v1/estimate", `{"workload":"tpcc"}junk`, http.StatusBadRequest},
+		{"/v1/estimate", `{"workload":"tpcc"}[]`, http.StatusBadRequest},
+		{"/v1/run", "{\"workload\":\"tpcc\"}\n", http.StatusOK},
+		{"/v1/estimate", "{\"workload\":\"tpcc\"}\r\n\t ", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %q: status %d (%s), want %d", tc.path, tc.body, resp.StatusCode, b, tc.want)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("%d simulations, want 1 (only the accepted run)", n)
+	}
+}

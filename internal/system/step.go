@@ -8,6 +8,14 @@ package system
 // machine is driven, it evolves through the same loop body, and a machine
 // stepped in any chunking lands on the same state (pinned by
 // TestStepMatchesRunContext).
+//
+// The loop is event-driven per CPU. Each cycle ticks only the CPUs whose
+// WakeAt has come, in index order; a CPU whose tick did nothing sleeps
+// until its next timestamp, and when every CPU sleeps the global clock
+// jumps to the earliest wake-up. Skipped cycles are credited to each CPU's
+// counters in bulk, settled before Step returns, so the machine is
+// indistinguishable from one that ticks every CPU every cycle (pinned by
+// TestStepMatchesEveryCycleReference).
 
 import "context"
 
@@ -27,22 +35,48 @@ func (s *System) Step(n int, maxCycles uint64) (done, capped bool) {
 	if maxCycles == 0 {
 		maxCycles = 1 << 62
 	}
-	for ; n > 0; n-- {
+	defer s.settle()
+	end := s.cycle + uint64(max(n, 0))
+	for s.cycle < end {
 		if s.cycle >= maxCycles {
 			return false, true
 		}
 		if s.Done() {
 			return true, false
 		}
+		next := ^uint64(0)
 		for _, c := range s.cpus {
-			c.Tick(s.cycle)
+			if c.WakeAt() <= s.cycle {
+				c.Tick(s.cycle)
+			}
+			next = min(next, c.WakeAt())
 		}
-		s.cycle++
+		// Every CPU sleeps until next: jump there, but never past the
+		// step or the cap, which both end the step at their own cycle.
+		s.cycle = max(s.cycle+1, min(next, end, maxCycles))
 	}
 	if s.cycle >= maxCycles {
 		return false, true
 	}
 	return s.Done(), false
+}
+
+// settle credits every CPU's skipped cycles up to the current cycle.
+func (s *System) settle() {
+	for _, c := range s.cpus {
+		c.Settle(s.cycle)
+	}
+}
+
+// Work sums the CPUs' work counters (cpu.CPU.Work): cycles ticked, and
+// cycles skipped while asleep. Host-side accounting; never in a Report.
+func (s *System) Work() (ticked, skipped uint64) {
+	for _, c := range s.cpus {
+		t, k := c.Work()
+		ticked += t
+		skipped += k
+	}
+	return ticked, skipped
 }
 
 // RunContext advances the machine until every CPU drains or maxCycles
