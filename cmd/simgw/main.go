@@ -1,5 +1,5 @@
 // Command simgw fronts a pool of simd workers: one address for the whole
-// cluster, with placement by consistent hashing of each run's content
+// cluster, with placement by rendezvous hashing of each run's content
 // address so identical requests land on the same worker and the pool
 // deduplicates simulations without coordination.
 //
@@ -43,7 +43,6 @@ func main() {
 		addr    = flag.String("addr", ":8970", "listen address")
 		workers = flag.String("workers", "", "comma-separated worker pool: name=url or bare URLs (required)")
 		insts   = flag.Int("insts", 1_000_000, "default instructions per CPU (must match the workers' -insts)")
-		retries = flag.Int("retries", 0, "worker attempts per request (0 = every replica once)")
 		health  = flag.Duration("health-every", 2*time.Second, "active health-probe interval")
 	)
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 	gw, err := gateway.New(gateway.Config{
 		Workers:      pool,
 		DefaultInsts: *insts,
-		RetryBudget:  *retries,
 		HealthEvery:  *health,
 	})
 	if err != nil {

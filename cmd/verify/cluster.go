@@ -2,7 +2,7 @@ package main
 
 // The cluster-replay differential check: the distributed tier must be
 // invisible in the numbers. A sweep pushed through a 1-node topology and
-// a 3-node topology (consistent-hash routing, peer caches, per-node
+// a 3-node topology (rendezvous routing, peer caches, per-node
 // singleflight) has to return byte-identical keys and reports — any
 // divergence means routing, caching or the peer protocol changed a
 // result, which is the one thing a sharded experiment service may never
@@ -75,7 +75,7 @@ func runClusterReplay(ctx context.Context, env *metamorph.Env) (string, error) {
 }
 
 // runClusterSweep stands up an n-node cluster (workers with peer-meshed
-// caches behind a consistent-hash gateway) and pushes the sweep through
+// caches behind a rendezvous-hashing gateway) and pushes the sweep through
 // it.
 func runClusterSweep(ctx context.Context, n int, sweep []string) ([]clusterResult, error) {
 	type node struct {

@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -17,30 +18,33 @@ func (c Config) WriteJSON(w io.Writer) error {
 	return enc.Encode(c)
 }
 
-// FromJSON reads a configuration. The input is validated; unknown fields
-// are rejected so a typo cannot silently leave a parameter at its zero
-// value.
-func FromJSON(r io.Reader) (Config, error) {
+// DecodeStrict decodes one JSON object from r into v: unknown fields are
+// rejected, and so is anything but whitespace after the object, so neither
+// a typo nor a second object can be silently ignored. Configuration
+// overlays and the service's request bodies share it, so every JSON
+// surface rejects the same inputs.
+func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var c Config
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+		return err
 	}
-	return c, nil
+	return nil
 }
 
 // OverlayJSON reads a *partial* configuration on top of base: fields
 // present in the JSON replace the base values, everything else keeps the
-// preset. This is how study variants are expressed as small files.
+// preset. This is how study variants are expressed as small files. The
+// input is strictly decoded (DecodeStrict) and the result validated.
 func OverlayJSON(base Config, r io.Reader) (Config, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	c := base
-	if err := dec.Decode(&c); err != nil {
+	if err := DecodeStrict(r, &c); err != nil {
 		return Config{}, fmt.Errorf("config: %w", err)
 	}
 	if err := c.Validate(); err != nil {

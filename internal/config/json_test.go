@@ -11,7 +11,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := base.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromJSON(strings.NewReader(sb.String()))
+	back, err := OverlayJSON(Config{}, strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +23,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromJSONRejectsInvalid covers reading a whole configuration from
+// JSON, which is an overlay on the zero Config.
 func TestFromJSONRejectsInvalid(t *testing.T) {
 	// Unknown fields fail loudly.
-	if _, err := FromJSON(strings.NewReader(`{"Bogus": 1}`)); err == nil {
+	if _, err := OverlayJSON(Config{}, strings.NewReader(`{"Bogus": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 	// Structurally valid JSON that fails validation fails too.
@@ -33,11 +35,11 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	bad := Base()
 	bad.CPUs = 0
 	bad.WriteJSON(&sb)
-	if _, err := FromJSON(strings.NewReader(sb.String())); err == nil {
+	if _, err := OverlayJSON(Config{}, strings.NewReader(sb.String())); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	// Not JSON at all.
-	if _, err := FromJSON(strings.NewReader("not json")); err == nil {
+	if _, err := OverlayJSON(Config{}, strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -57,6 +59,16 @@ func TestOverlayJSON(t *testing.T) {
 	// An overlay that breaks validation is rejected.
 	if _, err := OverlayJSON(Base(), strings.NewReader(`{"CPUs": -1}`)); err == nil {
 		t.Fatal("invalid overlay accepted")
+	}
+	// One object only: a second object or any other bytes after it are an
+	// error, not silently dropped; trailing whitespace is fine.
+	for _, overlay := range []string{`{"CPUs":4} {"CPUs":8}`, `{"CPUs":4}junk`, `{"CPUs":4}]`} {
+		if c, err := OverlayJSON(Base(), strings.NewReader(overlay)); err == nil {
+			t.Errorf("overlay %s accepted (CPUs=%d)", overlay, c.CPUs)
+		}
+	}
+	if c, err := OverlayJSON(Base(), strings.NewReader("{\"CPUs\":4}\n\t ")); err != nil || c.CPUs != 4 {
+		t.Errorf("overlay with trailing whitespace: CPUs=%d, err %v", c.CPUs, err)
 	}
 }
 

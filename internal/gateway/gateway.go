@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,9 +86,6 @@ type Config struct {
 	// compute the same cache key the worker will, and routes on it. 0
 	// means 1,000,000 — the worker default.
 	DefaultInsts int
-	// RetryBudget caps worker attempts per request; 0 means every
-	// replica once.
-	RetryBudget int
 	// Client performs proxied requests; nil means a dedicated client
 	// with no overall timeout (simulations are long; per-request bounds
 	// come from the client's context).
@@ -106,7 +102,6 @@ type workerState struct {
 	Worker
 	healthy  atomic.Bool // last probe or proxy attempt succeeded
 	draining atomic.Bool // /healthz or /v1/run said "draining"
-	inflight atomic.Int64
 }
 
 // Gateway routes requests across the pool. Construct with New, serve
@@ -116,21 +111,12 @@ type Gateway struct {
 	ring        *ring.Ring
 	workers     map[string]*workerState
 	insts       int
-	retryBudget int
 	client      *http.Client
 	reg         *obs.Registry
 	healthEvery time.Duration
 	now         func() time.Time
 
 	mux *http.ServeMux
-
-	// keyFlights pins every in-flight routing key to the node currently
-	// serving it, so concurrent identical requests all land on one
-	// worker and its in-process singleflight collapses them into one
-	// simulation — without this, bounded-load spill would scatter a
-	// thundering herd across replicas and each would simulate.
-	keyMu      sync.Mutex
-	keyFlights map[string]*keyFlight
 
 	// Pre-registered metric families: creating them in New pins their
 	// presence (and zero values) in the exposition, so the golden test
@@ -168,9 +154,6 @@ func New(c Config) (*Gateway, error) {
 	if c.DefaultInsts <= 0 {
 		c.DefaultInsts = 1_000_000
 	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = len(c.Workers)
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -182,10 +165,8 @@ func New(c Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		ring:        rg,
-		keyFlights:  make(map[string]*keyFlight),
 		workers:     workers,
 		insts:       c.DefaultInsts,
-		retryBudget: c.RetryBudget,
 		client:      c.Client,
 		reg:         c.Registry,
 		healthEvery: c.HealthEvery,
@@ -300,91 +281,19 @@ func (g *Gateway) ProbeHealth(ctx context.Context) {
 	g.healthyWorkers.Set(int64(healthy))
 }
 
-// keyFlight tracks one in-flight routing key: the node it is pinned to
-// and how many requests are riding the pin.
-type keyFlight struct {
-	node string
-	refs int
-}
-
-// acquireKey pins key to candidate unless an earlier request already
-// pinned it, and returns the pinned node. Pair with releaseKey.
-func (g *Gateway) acquireKey(key, candidate string) string {
-	g.keyMu.Lock()
-	defer g.keyMu.Unlock()
-	if f, ok := g.keyFlights[key]; ok {
-		f.refs++
-		return f.node
-	}
-	g.keyFlights[key] = &keyFlight{node: candidate, refs: 1}
-	return candidate
-}
-
-// repinKey moves an existing pin to a new node (failover), so joiners
-// follow the request to the replica that is actually serving it.
-func (g *Gateway) repinKey(key, node string) {
-	g.keyMu.Lock()
-	defer g.keyMu.Unlock()
-	if f, ok := g.keyFlights[key]; ok {
-		f.node = node
-	}
-}
-
-func (g *Gateway) releaseKey(key string) {
-	g.keyMu.Lock()
-	defer g.keyMu.Unlock()
-	if f, ok := g.keyFlights[key]; ok {
-		if f.refs--; f.refs <= 0 {
-			delete(g.keyFlights, key)
-		}
-	}
-}
-
-// spillFloor is the minimum per-node in-flight depth before bounded-load
-// spill engages. At trivial load the strict bound is hair-trigger (one
-// in-flight request can look "hot" in a small pool) and spilling would
-// only dilute cache affinity; past this depth a queue is real and moving
-// to a sibling replica is worth the colder cache.
-const spillFloor = 8
-
-// loadFactor sets the bounded-load spill threshold: a node whose in-flight
-// depth exceeds loadFactor × the available nodes' mean (this request
-// included), and is at least spillFloor, is passed over while a
-// less-loaded replica exists.
-const loadFactor = 1.25
-
 // candidates returns worker names in the order the request should try
-// them: the key's ring sequence, available nodes first, rotated so the
-// first available node under the bounded-load threshold leads. Nodes
-// believed down or draining stay in the list as a last resort — a stale
-// health view must degrade to a wasted attempt, not an outage.
+// them: the key's ring sequence, available nodes first. Nodes believed
+// down or draining stay in the list as a last resort — a stale health
+// view must degrade to a wasted attempt, not an outage.
 func (g *Gateway) candidates(key string) []string {
 	seq := g.ring.Sequence(key)
 	avail := make([]string, 0, len(seq))
-	rest := make([]string, 0, len(seq))
-	total := 0
+	var rest []string
 	for _, name := range seq {
-		ws := g.workers[name]
-		if ws.healthy.Load() && !ws.draining.Load() {
+		if ws := g.workers[name]; ws.healthy.Load() && !ws.draining.Load() {
 			avail = append(avail, name)
-			total += int(ws.inflight.Load())
 		} else {
 			rest = append(rest, name)
-		}
-	}
-	if len(avail) == 0 {
-		return seq
-	}
-	// Bounded load over the gateway's own in-flight view: spill past a
-	// hot primary to the next replica, never shed (workers own 429).
-	bound := int(loadFactor*float64(total+1)/float64(len(avail))) + 1
-	if bound < spillFloor {
-		bound = spillFloor
-	}
-	for i, name := range avail {
-		if int(g.workers[name].inflight.Load()) < bound {
-			rotated := append(append(make([]string, 0, len(seq)), avail[i:]...), avail[:i]...)
-			return append(rotated, rest...)
 		}
 	}
 	return append(avail, rest...)
@@ -396,12 +305,12 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	g.requestCounter("run").Inc()
 	t0 := g.now()
 	defer func() { g.proxySeconds.Observe(g.now().Sub(t0).Seconds()) }()
-	body, ok := readBody(w, r)
+	body, ok := server.ReadBody(w, r)
 	if !ok {
 		return
 	}
 	var req server.RunRequest
-	if err := server.DecodeRequest(bytes.NewReader(body), &req); err != nil {
+	if err := config.DecodeStrict(bytes.NewReader(body), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -413,22 +322,6 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	g.route(w, r, "/v1/run", body, rr.Key.ID())
 }
 
-// readBody reads a POST body of at most server.MaxBodyBytes, the worker's
-// own bound. On failure it writes the client error — 413 for an oversized
-// body, 400 otherwise — and returns false.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
-	if err != nil {
-		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", server.MaxBodyBytes)
-		} else {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
-		}
-		return nil, false
-	}
-	return body, true
-}
-
 // handleEstimate proxies POST /v1/estimate. Estimates are pure
 // arithmetic, so placement is about load spreading, not cache locality;
 // hashing the body gives a stable, coordination-free spread that keeps
@@ -437,7 +330,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	g.requestCounter("estimate").Inc()
 	t0 := g.now()
 	defer func() { g.proxySeconds.Observe(g.now().Sub(t0).Seconds()) }()
-	body, ok := readBody(w, r)
+	body, ok := server.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -445,51 +338,27 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	g.route(w, r, "/v1/estimate", body, hex.EncodeToString(sum[:]))
 }
 
-// route forwards body to the key's candidate workers until one gives a
-// terminal answer. Failover semantics:
+// route forwards body to the key's candidate workers, each at most once,
+// until one gives a terminal answer. Failover semantics:
 //
 //   - transport error: mark the node down, try the next replica;
 //   - 503 (draining or cancelled): mark draining, try the next replica;
 //   - 429 (queue full): try the next replica — a different node may have
-//     room — and if every attempt sheds, the client sees the 429, so
-//     overload is never silently swallowed;
+//     room; this is the only way overload moves a request off its primary —
+//     and if every attempt sheds, the client sees the 429, so overload is
+//     never silently swallowed;
 //   - anything else (200, 4xx, 5xx): the worker's verdict, returned
 //     verbatim.
 func (g *Gateway) route(w http.ResponseWriter, r *http.Request, path string, body []byte, key string) {
-	seq := g.candidates(key)
-	// An in-flight identical request pins the key to its node; following
-	// the pin is what turns per-worker singleflight into cluster-wide
-	// singleflight.
-	pinned := g.acquireKey(key, seq[0])
-	defer g.releaseKey(key)
-	if pinned != seq[0] {
-		reordered := make([]string, 0, len(seq))
-		reordered = append(reordered, pinned)
-		for _, name := range seq {
-			if name != pinned {
-				reordered = append(reordered, name)
-			}
-		}
-		seq = reordered
-	}
-
 	var lastStatus int
 	var lastHeader http.Header
 	var lastBody []byte
-	attempts := 0
-	for _, name := range seq {
-		if attempts >= g.retryBudget {
-			break
-		}
+	for _, name := range g.candidates(key) {
 		if r.Context().Err() != nil {
 			return // client gone; nothing to answer
 		}
-		attempts++
-		g.repinKey(key, name)
 		ws := g.workers[name]
-		ws.inflight.Add(1)
 		resp, err := g.forward(r.Context(), ws, path, body, r.Header.Get("Content-Type"))
-		ws.inflight.Add(-1)
 		if err != nil {
 			ws.healthy.Store(false)
 			g.proxiedCounter(name, "failed").Inc()
@@ -588,7 +457,6 @@ type WorkerView struct {
 	URL      string `json:"url"`
 	Healthy  bool   `json:"healthy"`
 	Draining bool   `json:"draining"`
-	Inflight int64  `json:"inflight"`
 }
 
 // Status snapshots the gateway's view of the pool (tests; debugging).
@@ -601,7 +469,6 @@ func (g *Gateway) Status() []WorkerView {
 			URL:      ws.URL,
 			Healthy:  ws.healthy.Load(),
 			Draining: ws.draining.Load(),
-			Inflight: ws.inflight.Load(),
 		})
 	}
 	return out
@@ -618,7 +485,7 @@ func (g *Gateway) ResolveKey(req server.RunRequest) (string, error) {
 }
 
 // PlanFor returns the candidate order the gateway would try for a run
-// request right now (health- and load-dependent; tests).
+// request right now (health-dependent; tests).
 func (g *Gateway) PlanFor(req server.RunRequest) ([]string, error) {
 	key, err := g.ResolveKey(req)
 	if err != nil {

@@ -96,11 +96,11 @@ func TestProbeHealthReusesConnection(t *testing.T) {
 	}
 }
 
-// TestCandidatesBoundedLoad is a table test of the gateway's one
-// bounded-load rule. The workers' URLs are never dialled: each case sets
-// the gateway's view of the pool (in-flight depth, health, drain) and
-// checks the order candidates returns, in terms of the key's ring sequence.
-func TestCandidatesBoundedLoad(t *testing.T) {
+// TestCandidatesHealthOrder is a table test of the gateway's one routing
+// rule. The workers' URLs are never dialled: each case sets the gateway's
+// view of the pool (health, drain) and checks the order candidates
+// returns, in terms of the key's ring sequence.
+func TestCandidatesHealthOrder(t *testing.T) {
 	gw, err := New(Config{
 		Workers: []Worker{
 			{Name: "n0", URL: "http://n0.invalid"},
@@ -115,28 +115,19 @@ func TestCandidatesBoundedLoad(t *testing.T) {
 	const key = "key-01"
 	seq := gw.ring.Sequence(key)
 	a, b, c := seq[0], seq[1], seq[2]
-	type view struct {
-		inflight           int64
-		unhealthy, drained bool
-	}
+	type view struct{ unhealthy, drained bool }
 	for _, tc := range []struct {
 		name string
-		pool map[string]view // by ring position; absent means idle and healthy
+		pool map[string]view // by ring position; absent means healthy
 		want []string
 	}{
-		{"every node below spillFloor", map[string]view{a: {inflight: spillFloor - 1}, b: {inflight: 3}}, []string{a, b, c}},
-		{"primary at the floor", map[string]view{a: {inflight: spillFloor}}, []string{b, c, a}},
-		{"primary above the bound", map[string]view{a: {inflight: 20}, b: {inflight: 2}}, []string{b, c, a}},
-		{"primary and first replica above the bound", map[string]view{a: {inflight: 20}, b: {inflight: 20}}, []string{c, a, b}},
-		{"equal load stays under the bound", map[string]view{a: {inflight: 30}, b: {inflight: 30}, c: {inflight: 30}}, []string{a, b, c}},
 		{"draining primary trails", map[string]view{a: {drained: true}}, []string{b, c, a}},
 		{"draining and unhealthy trail in ring order", map[string]view{a: {drained: true}, b: {unhealthy: true}}, []string{c, a, b}},
-		{"unavailable nodes trail the one available node", map[string]view{a: {unhealthy: true}, b: {inflight: 40}, c: {drained: true}}, []string{b, a, c}},
+		{"unavailable nodes trail the one available node", map[string]view{a: {unhealthy: true}, c: {drained: true}}, []string{b, a, c}},
 		{"every node unavailable", map[string]view{a: {unhealthy: true}, b: {drained: true}, c: {unhealthy: true, drained: true}}, []string{a, b, c}},
 	} {
 		for _, name := range seq {
 			v, ws := tc.pool[name], gw.workers[name]
-			ws.inflight.Store(v.inflight)
 			ws.healthy.Store(!v.unhealthy)
 			ws.draining.Store(v.drained)
 		}

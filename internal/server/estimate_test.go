@@ -95,6 +95,32 @@ func TestEstimateValidation(t *testing.T) {
 	}
 }
 
+// TestRunAndEstimateRejectAlike pins that both tiers resolve a request to
+// its machine with one code path: a body whose workload or overlay is bad
+// gets the same 400 and the same error text from /v1/run and /v1/estimate.
+func TestRunAndEstimateRejectAlike(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"unknown workload", `{"workload":"quake3"}`},
+		{"unknown workload with overlay", `{"workload":"quake3","config":{"CPUs":4}}`},
+		{"unknown overlay field", `{"workload":"specint95","config":{"NoSuchKnob":1}}`},
+		{"invalid overlay geometry", `{"workload":"specint95","config":{"L1D":{"SizeBytes":98304,"Ways":2,"LineBytes":64,"HitCycles":4}}}`},
+		{"overlay breaks validation", `{"workload":"tpcc16p","config":{"CPUs":-1}}`},
+	} {
+		runResp, runBody := postRun(t, ts.URL, tc.body)
+		estResp, estBody := postEstimate(t, ts.URL, tc.body)
+		if runResp.StatusCode != http.StatusBadRequest || estResp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: /v1/run %d, /v1/estimate %d, want 400 from both",
+				tc.name, runResp.StatusCode, estResp.StatusCode)
+		}
+		if string(runBody) != string(estBody) {
+			t.Errorf("%s: /v1/run said %s but /v1/estimate said %s", tc.name, runBody, estBody)
+		}
+	}
+}
+
 // TestEstimateFallback pins the uncalibrated paths: multiprocessor
 // configurations and workloads outside the calibration set answer 404 with
 // a /v1/run fallback hint and count as fallbacks, never as errors.

@@ -73,10 +73,6 @@ type Config struct {
 	// when non-empty the run cache gains a remote tier that consults
 	// them (GET /v1/cache/{id}) before simulating a miss.
 	Peers []string
-	// PeerClient overrides the HTTP client peer fetches use (tests;
-	// custom timeouts). nil means a dedicated client with the default
-	// peer timeout.
-	PeerClient *http.Client
 }
 
 // Server implements the HTTP handlers. Construct with New; serve
@@ -93,7 +89,6 @@ type Server struct {
 	// new runs with 503 so the gateway fails them over.
 	nodeID      string
 	draining    atomic.Bool
-	peerClient  *http.Client
 	peerFetcher *PeerFetcher
 
 	// queue holds every admitted simulation (waiting or running); cap
@@ -154,7 +149,6 @@ func New(c Config) (*Server, error) {
 		maxQueue:     c.MaxQueue,
 		defaultInsts: c.DefaultInsts,
 		nodeID:       c.NodeID,
-		peerClient:   c.PeerClient,
 		queue:        make(chan struct{}, c.Workers+c.MaxQueue),
 		working:      make(chan struct{}, c.Workers),
 		reg:          c.Registry,
@@ -187,7 +181,7 @@ func New(c Config) (*Server, error) {
 // addresses are only known after construction.
 func (s *Server) SetPeers(peers []string) {
 	if s.peerFetcher == nil {
-		s.peerFetcher = NewPeerFetcher(peers, s.peerClient, s.reg)
+		s.peerFetcher = NewPeerFetcher(peers, nil, s.reg)
 		s.cache.SetRemote(s.peerFetcher)
 		return
 	}
@@ -330,6 +324,38 @@ type ResolvedRun struct {
 	Key     runcache.Key
 }
 
+// resolveMachine is the part of a request both tiers share: the named
+// workload and the machine it runs on — base with the strict config
+// overlay applied, then the CPU count. /v1/run and /v1/estimate call it,
+// so one body prices and simulates the same machine and a bad body gets
+// the same 400 text from both. Every error is a client error.
+func resolveMachine(base config.Config, name string, cpus int, overlay json.RawMessage) (workload.Profile, config.Config, error) {
+	prof, ok := workload.ByName(name)
+	if !ok {
+		return prof, base, fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
+	}
+	cfg := base
+	if len(overlay) > 0 {
+		// Same strict overlay semantics as sparc64sim -config: present
+		// fields override, unknown fields are rejected, the result is
+		// validated.
+		var err error
+		cfg, err = config.OverlayJSON(cfg, bytes.NewReader(overlay))
+		if err != nil {
+			return prof, base, fmt.Errorf("bad config overlay: %w", err)
+		}
+	}
+	switch {
+	case cpus > 0:
+		cfg = cfg.WithCPUs(cpus)
+	case prof.SharedBytes > 0 && cfg.CPUs <= 1:
+		// Mirror the sparc64sim CLI: MP workloads default to the
+		// paper's 16-processor system.
+		cfg = cfg.WithCPUs(16)
+	}
+	return prof, cfg, nil
+}
+
 // ResolveRun validates req against base (config.Base() for every server
 // and gateway) and computes its cache key. defaultInsts fills an absent
 // insts field (<= 0 means the server default of 1,000,000). Every error is
@@ -339,28 +365,9 @@ func ResolveRun(base config.Config, defaultInsts int, req RunRequest) (ResolvedR
 	if defaultInsts <= 0 {
 		defaultInsts = 1_000_000
 	}
-	prof, ok := workload.ByName(req.Workload)
-	if !ok {
-		return rr, fmt.Errorf("unknown workload %q (have %v)", req.Workload, workload.Names())
-	}
-	cfg := base
-	if len(req.Config) > 0 {
-		// Same strict overlay semantics as sparc64sim -config: present
-		// fields override, unknown fields are rejected, the result is
-		// validated.
-		var err error
-		cfg, err = config.OverlayJSON(cfg, bytes.NewReader(req.Config))
-		if err != nil {
-			return rr, fmt.Errorf("bad config overlay: %w", err)
-		}
-	}
-	switch {
-	case req.CPUs > 0:
-		cfg = cfg.WithCPUs(req.CPUs)
-	case prof.SharedBytes > 0 && cfg.CPUs <= 1:
-		// Mirror the sparc64sim CLI: MP workloads default to the
-		// paper's 16-processor system.
-		cfg = cfg.WithCPUs(16)
+	prof, cfg, err := resolveMachine(base, req.Workload, req.CPUs, req.Config)
+	if err != nil {
+		return rr, err
 	}
 	if req.Insts < 0 {
 		return rr, fmt.Errorf("insts must be >= 0")
@@ -466,27 +473,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	prof, ok := workload.ByName(req.Workload)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown workload %q (have %v)", req.Workload, workload.Names())
+	prof, cfg, err := resolveMachine(config.Base(), req.Workload, req.CPUs, req.Config)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	cfg := config.Base()
-	if len(req.Config) > 0 {
-		var err error
-		cfg, err = config.OverlayJSON(cfg, bytes.NewReader(req.Config))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad config overlay: %v", err)
-			return
-		}
-	}
-	// Mirror /v1/run's CPU-count semantics so the two tiers price the same
-	// machine for the same request body.
-	switch {
-	case req.CPUs > 0:
-		cfg = cfg.WithCPUs(req.CPUs)
-	case prof.SharedBytes > 0 && cfg.CPUs <= 1:
-		cfg = cfg.WithCPUs(16)
 	}
 	if s.cal.ModelVersion != core.ModelVersion {
 		outcomeCounter("fallback_stale").Inc()
@@ -644,34 +634,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.WritePrometheus(w)
 }
 
-// DecodeRequest strictly decodes a request body into v: one JSON object
-// with no unknown fields, followed by nothing but whitespace. The worker
-// and the gateway share it, so both reject the same bodies.
-func DecodeRequest(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		if err == nil {
-			err = errors.New("trailing data after the JSON object")
-		}
-		return err
-	}
-	return nil
-}
-
-// decodeBody strictly decodes a POST body of at most MaxBodyBytes into v.
-// On failure it writes the client error — 413 for an oversized body, 400
-// otherwise — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := DecodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v); err != nil {
+// ReadBody reads a POST body of at most MaxBodyBytes. On failure it writes
+// the client error — 413 for an oversized body, 400 otherwise — and
+// returns false. The gateway reads bodies with it too, so both tiers
+// enforce the same bound with the same answers.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
 		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxBodyBytes)
 		} else {
-			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+			httpError(w, http.StatusBadRequest, "read body: %v", err)
 		}
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeBody reads a POST body with ReadBody and strictly decodes it into
+// v (config.DecodeStrict). On failure it writes the client error and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := config.DecodeStrict(bytes.NewReader(body), v); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true

@@ -224,54 +224,6 @@ func TestLimitSource(t *testing.T) {
 	}
 }
 
-func TestSampleSource(t *testing.T) {
-	recs := make([]Record, 100)
-	for i := range recs {
-		recs[i] = Record{PC: uint64(i), Op: isa.IntALU,
-			Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
-	}
-	s := NewSampleSource(NewSliceSource(recs), 2, 10)
-	got := Collect(s, 0)
-	if len(got) != 20 {
-		t.Fatalf("sampled %d records, want 20", len(got))
-	}
-	// Kept records must be the first 2 of each period of 10.
-	for i, r := range got {
-		period, off := i/2, i%2
-		if want := uint64(period*10 + off); r.PC != want {
-			t.Fatalf("sample %d: PC=%d, want %d", i, r.PC, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid sampling parameters did not panic")
-		}
-	}()
-	NewSampleSource(NewSliceSource(recs), 11, 10)
-}
-
-func TestSkipAndConcat(t *testing.T) {
-	recs := make([]Record, 10)
-	for i := range recs {
-		recs[i] = Record{PC: uint64(i), Op: isa.IntALU,
-			Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
-	}
-	sk := NewSkipSource(NewSliceSource(recs), 7)
-	got := Collect(sk, 0)
-	if len(got) != 3 || got[0].PC != 7 {
-		t.Fatalf("skip: got %+v", got)
-	}
-	// Skipping past the end yields nothing.
-	sk = NewSkipSource(NewSliceSource(recs), 20)
-	if got := Collect(sk, 0); len(got) != 0 {
-		t.Fatalf("skip past end yielded %d", len(got))
-	}
-	cc := NewConcatSource(NewSliceSource(recs[:3]), NewSliceSource(recs[3:5]))
-	if got := Collect(cc, 0); len(got) != 5 || got[4].PC != 4 {
-		t.Fatalf("concat: got %+v", got)
-	}
-}
-
 func TestNextPC(t *testing.T) {
 	r := Record{PC: 100, Op: isa.IntALU}
 	if r.NextPC() != 104 {
