@@ -210,13 +210,16 @@ func spanReport(sp *obs.Span, r system.Report) {
 }
 
 // spanWork copies a simulated run's work counters onto its span: CPU-cycles
-// the cycle loop ticked, and CPU-cycles it skipped while the CPU slept.
-// They are deterministic and host-independent, so a profile shows how much
-// work a run did, not just how long it took; they never enter the Report.
+// the cycle loop ticked, CPU-cycles it skipped while the CPU slept, and the
+// station and window entries the ticked cycles examined. They are
+// deterministic and host-independent, so a profile shows how much work a
+// run did, not just how long it took; they never enter the Report.
 func spanWork(sp *obs.Span, sys *system.System) {
-	ticked, skipped := sys.Work()
-	sp.Add("ticked_cpu_cycles", int64(ticked))
-	sp.Add("skipped_cpu_cycles", int64(skipped))
+	w := sys.Work()
+	sp.Add("ticked_cpu_cycles", int64(w.Ticked))
+	sp.Add("skipped_cpu_cycles", int64(w.Skipped))
+	sp.Add("station_entries_scanned", int64(w.StationScans))
+	sp.Add("window_entries_scanned", int64(w.WindowScans))
 }
 
 // BreakdownResult is the Figure 7 analysis for one workload: the share of

@@ -49,7 +49,7 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 	if len(profs) != 1 {
 		t.Fatalf("profiles = %d, want 1", len(profs))
 	}
-	var committed, cycles, ticked, skipped int64
+	var committed, cycles, ticked, skipped, stationScans, windowScans int64
 	for _, c := range profs[0].Counters {
 		switch c.Name {
 		case "committed":
@@ -60,6 +60,10 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 			ticked = c.Value
 		case "skipped_cpu_cycles":
 			skipped = c.Value
+		case "station_entries_scanned":
+			stationScans = c.Value
+		case "window_entries_scanned":
+			windowScans = c.Value
 		}
 	}
 	if uint64(committed) != profiled.Committed || uint64(cycles) != profiled.Cycles {
@@ -71,6 +75,9 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 	if measured := profiled.CPUs[0].Core.Cycles; ticked <= 0 || uint64(ticked+skipped) < measured {
 		t.Errorf("work counters ticked=%d skipped=%d do not cover the %d measured CPU cycles",
 			ticked, skipped, measured)
+	}
+	if stationScans <= 0 || windowScans <= 0 {
+		t.Errorf("scan counters station=%d window=%d, want both positive", stationScans, windowScans)
 	}
 }
 

@@ -17,7 +17,11 @@ package system
 // indistinguishable from one that ticks every CPU every cycle (pinned by
 // TestStepMatchesEveryCycleReference).
 
-import "context"
+import (
+	"context"
+
+	"sparc64v/internal/cpu"
+)
 
 // PollStride is the cancellation granularity in global cycles: RunContext,
 // and the core run engine for a lone run, poll their context once per
@@ -68,15 +72,14 @@ func (s *System) settle() {
 	}
 }
 
-// Work sums the CPUs' work counters (cpu.CPU.Work): cycles ticked, and
-// cycles skipped while asleep. Host-side accounting; never in a Report.
-func (s *System) Work() (ticked, skipped uint64) {
+// Work sums the CPUs' work counters (cpu.CPU.Work). Host-side accounting;
+// never in a Report.
+func (s *System) Work() cpu.WorkCounts {
+	var w cpu.WorkCounts
 	for _, c := range s.cpus {
-		t, k := c.Work()
-		ticked += t
-		skipped += k
+		w.Add(c.Work())
 	}
-	return ticked, skipped
+	return w
 }
 
 // RunContext advances the machine until every CPU drains or maxCycles
