@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/cpu"
@@ -32,9 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	prof, ok := profileByName(*workloadName)
+	prof, ok := workload.ByName(*workloadName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "pipeview: unknown workload %q\n", *workloadName)
+		fmt.Fprintf(os.Stderr, "pipeview: unknown workload %q (have %v)\n", *workloadName, workload.Names())
 		os.Exit(1)
 	}
 	cfg := config.Base()
@@ -75,21 +74,4 @@ func main() {
 		tag := fmt.Sprintf("%-7s %#x", e.Op, e.PC)
 		fmt.Printf("%-24s |%s|\n", tag, e.Lane(base, width))
 	}
-	_ = strings.TrimSpace("")
-}
-
-func profileByName(name string) (workload.Profile, bool) {
-	switch strings.ToLower(name) {
-	case "specint95":
-		return workload.SPECint95(), true
-	case "specfp95":
-		return workload.SPECfp95(), true
-	case "specint2000":
-		return workload.SPECint2000(), true
-	case "specfp2000":
-		return workload.SPECfp2000(), true
-	case "tpcc":
-		return workload.TPCC(), true
-	}
-	return workload.Profile{}, false
 }

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		workloadName = flag.String("workload", "specint95", "workload: specint95|specfp95|specint2000|specfp2000|tpcc|tpcc16p")
+		workloadName = flag.String("workload", "specint95", "workload: "+strings.Join(workload.Names(), "|"))
 		insts        = flag.Int("insts", 200_000, "records to generate")
 		seed         = flag.Int64("seed", 42, "generator seed")
 		cpu          = flag.Int("cpu", 0, "CPU index (MP workloads)")
@@ -35,9 +35,9 @@ func main() {
 		fatal("need -out and/or -program")
 	}
 
-	prof, ok := profileByName(*workloadName)
+	prof, ok := workload.ByName(*workloadName)
 	if !ok {
-		fatal("unknown -workload %q", *workloadName)
+		fatal("unknown -workload %q (have %v)", *workloadName, workload.Names())
 	}
 	gen := workload.New(prof, *seed, *cpu)
 	src := trace.NewLimitSource(gen, *insts)
@@ -108,24 +108,6 @@ func writeProgram(path string, src trace.Source) {
 	}
 	fmt.Printf("wrote program: %d dynamic instrs, %d static, %d bytes\n",
 		prog.Len(), prog.StaticInstrs(), n)
-}
-
-func profileByName(name string) (workload.Profile, bool) {
-	switch strings.ToLower(name) {
-	case "specint95":
-		return workload.SPECint95(), true
-	case "specfp95":
-		return workload.SPECfp95(), true
-	case "specint2000":
-		return workload.SPECint2000(), true
-	case "specfp2000":
-		return workload.SPECfp2000(), true
-	case "tpcc":
-		return workload.TPCC(), true
-	case "tpcc16p":
-		return workload.TPCC16P(), true
-	}
-	return workload.Profile{}, false
 }
 
 func fatal(format string, args ...any) {

@@ -3,30 +3,31 @@ package core
 // The run engine.
 //
 // Every simulation — serial or batched, full or sampled — is advanced by
-// one loop, drive. A run is a member with three operations: need (the trace
-// records its next step reads), step (one bounded action) and finish (its
-// Report and error). A full run (fullRun) steps the detailed machine a
-// fixed number of cycles; a sampled run (sampledRun, sample.go) steps one
-// fast-forward chunk or one detailed window.
+// one loop, drive. A run is a member: a sequence of bounded actions
+// (actions), each announced by its trace demand — which CPU's records it
+// reads and how many — just before it is performed, and a close-out
+// (finish: its Report and error). A full run (fullRun) ticks the detailed
+// machine a fixed number of cycles per action; a sampled run (sampledRun,
+// sample.go) performs one fast-forward chunk or one detailed window.
 //
 // A serial run is a batch of one over its own sources: no ring, no
-// per-round checks, a full run stepping system.PollStride cycles between
+// per-round checks, a full run ticking system.PollStride cycles between
 // context polls. A lockstep batch (RunBatch) is the same loop over shared
 // sources: a parameter sweep runs many nearby configurations against the
 // same workload trace, so one trace.Fanout per CPU stream decodes the trace
 // once and feeds every member's machine through per-member cursors. Each
-// round refills the rings and steps every member whose next step the rings
-// can feed. Per-member mutable state stays inside each member's
+// round refills the rings and advances every member whose next action the
+// rings can feed. Per-member mutable state stays inside each member's
 // system.System, so members are independent: each produces a Report
 // byte-identical to its own serial run (pinned by TestRunBatchMatchesSerial),
 // finishes, caps or errors individually, and is cached individually.
 //
-// Scheduling rule: a member steps in a round only if none of its cursors is
-// starved for its next step's demand (a full member's batchStride cycles ×
-// fetch width, a sampled member's chunk or window). The ring's back-pressure
-// bounds how far members drift apart in the trace; after each Fill the
-// slowest member always sees a full ring, so it always advances — a batch
-// cannot deadlock on a single stream. On multi-CPU machines, mutual
+// Scheduling rule: a member acts in a round only if none of its cursors is
+// starved for its next action's demand (a full member's batchStride cycles
+// × fetch width, a sampled member's chunk or window). The ring's
+// back-pressure bounds how far members drift apart in the trace; after each
+// Fill the slowest member always sees a full ring, so it always advances —
+// a batch cannot deadlock on a single stream. On multi-CPU machines, mutual
 // starvation across *different* streams is theoretically possible (members'
 // relative progress would have to invert by a whole ring depth on two
 // streams at once); a round that advances no member peels one member off
@@ -36,6 +37,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
 	"strconv"
 
 	"sparc64v/internal/config"
@@ -99,27 +101,24 @@ var (
 		"Trace records decoded once by batch frontends.")
 	batchRecordsSaved = obs.Default().Counter("sparc64v_batch_records_saved_total",
 		"Trace records served from shared rings that serial runs would have re-decoded.")
-	batchBytesSaved = obs.Default().Counter("sparc64v_batch_decode_bytes_saved_total",
-		"In-memory bytes of trace records the shared decode avoided re-materializing.")
 )
-
-// recordBytes prices a saved record for the bytes-saved counter: the
-// in-memory record size the frontend would have re-materialized per member.
-const recordBytes = 40
 
 // A member is one run the engine advances.
 type member interface {
-	// need returns which CPU's trace the next step reads (-1: every CPU)
-	// and the most records it consumes there.
-	need() (cpu, n int)
-	// step performs the run's next bounded action and reports whether the
-	// run is over.
-	step(ctx context.Context) (done bool)
+	// actions performs the run's bounded actions in order, yielding each
+	// one's demand just before performing it; the sequence ends when the
+	// run is over. Nothing may happen before the first yield: the engine
+	// pulls every member's first demand before its first round.
+	actions(ctx context.Context) iter.Seq[demand]
 	// finish closes the run out, once: its Report, and its error — a
-	// cancellation (cerr non-nil, or one seen while stepping), the cycle
+	// cancellation (cerr non-nil, or one seen while acting), the cycle
 	// cap, or nil.
 	finish(cerr error) (system.Report, error)
 }
+
+// demand is the trace an action reads: which CPU's stream (-1: every CPU)
+// and the most records it consumes there.
+type demand struct{ cpu, n int }
 
 // start builds the run opt asks for over srcs: sampled when opt.Sample is
 // enabled, full otherwise; batched marks a lockstep member.
@@ -146,7 +145,7 @@ func (m *Model) start(label string, srcs []trace.Source, opt RunOptions, batched
 	return &fullRun{m: m, label: label, opt: opt, sp: sp, sys: sys, batched: batched}, nil
 }
 
-// fullRun is a full detailed run: each step ticks the machine stride()
+// fullRun is a full detailed run: each action ticks the machine stride()
 // cycles.
 type fullRun struct {
 	m       *Model
@@ -159,8 +158,8 @@ type fullRun struct {
 	endSim  func() // closes the open sim phase, if any
 }
 
-// stride is the cycles per step: a lockstep member ticks batchStride so it
-// stays close to its batch in the trace; a lone run ticks
+// stride is the cycles per action: a lockstep member ticks batchStride so
+// it stays close to its batch in the trace; a lone run ticks
 // system.PollStride, its cancellation stride.
 func (r *fullRun) stride() int {
 	if r.batched {
@@ -169,22 +168,26 @@ func (r *fullRun) stride() int {
 	return system.PollStride
 }
 
-func (r *fullRun) need() (int, int) { return -1, r.stride() * r.sys.SourceReadBound(0) }
-
-// step keeps a lone run's sim phase open across its back-to-back steps:
-// closing a span phase takes the span's lock, and a lock per step costs
-// ~10% under the race detector. A batch member's steps interleave with
-// other members', so each is timed on its own.
-func (r *fullRun) step(context.Context) bool {
-	if r.endSim == nil {
-		r.endSim = r.sp.Phase(obs.PhaseSim)
+// actions keeps a lone run's sim phase open across its back-to-back
+// actions: closing a span phase takes the span's lock, and a lock per
+// action costs ~10% under the race detector. A batch member's actions
+// interleave with other members', so each is timed on its own.
+func (r *fullRun) actions(context.Context) iter.Seq[demand] {
+	return func(yield func(demand) bool) {
+		for yield(demand{-1, r.stride() * r.sys.SourceReadBound(0)}) {
+			if r.endSim == nil {
+				r.endSim = r.sp.Phase(obs.PhaseSim)
+			}
+			done, capped := r.sys.Step(r.stride(), r.opt.MaxCycles)
+			r.capped = capped
+			if r.batched {
+				r.closeSim()
+			}
+			if done || capped {
+				return
+			}
+		}
 	}
-	done, capped := r.sys.Step(r.stride(), r.opt.MaxCycles)
-	r.capped = capped
-	if r.batched {
-		r.closeSim()
-	}
-	return done || capped
 }
 
 func (r *fullRun) closeSim() {
@@ -224,16 +227,37 @@ func (m *Model) runErr(label string, opt RunOptions, cerr error, capped bool) er
 // and is cancelled alone when that context ends, so a batch member whose
 // last waiter has gone stops without stopping the others.
 //
-// With fans == nil each member reads its own sources and steps back to
-// back, with a context poll between steps. With fans, member i reads
-// cursor i of every fan; each round refills the rings and steps every
-// member whose next step the rings can feed. A round that steps nobody
-// peels the first waiting member off and drives it again, as a batch of
-// one over the fresh sources restart builds.
+// Each member's actions are pulled one at a time: pulling performs the
+// action whose demand was pulled last and returns the next demand. With
+// fans == nil each member reads its own sources and acts back to back,
+// with a context poll between actions. With fans, member i reads cursor i
+// of every fan; each round refills the rings and advances every member
+// whose next action the rings can feed. A round that advances nobody peels
+// the first waiting member off and drives it again, as a batch of one over
+// the fresh sources restart builds.
 func drive(ctxs []context.Context, members []member, fans []*trace.Fanout, restart func(i int) (member, error)) ([]system.Report, []error) {
 	reps := make([]system.Report, len(members))
 	errs := make([]error, len(members))
+	type pulled struct {
+		next func() (demand, bool)
+		stop func()
+		want demand
+		more bool // false once the actions have ended
+	}
+	runs := make([]pulled, len(members))
+	// Stop every sequence on every way out, a panicking member included,
+	// so no parked sequence outlives the engine (stop is idempotent).
+	defer func() {
+		for i := range runs {
+			if runs[i].stop != nil {
+				runs[i].stop()
+			}
+		}
+	}()
 	leave := func(i int) {
+		if runs[i].stop != nil {
+			runs[i].stop()
+		}
 		if fans == nil {
 			return
 		}
@@ -243,8 +267,8 @@ func drive(ctxs []context.Context, members []member, fans []*trace.Fanout, resta
 		batchOccupancy.Add(-1)
 	}
 	finish := func(i int, cerr error) {
-		reps[i], errs[i] = members[i].finish(cerr)
 		leave(i)
+		reps[i], errs[i] = members[i].finish(cerr)
 	}
 	var live []int
 	for i, mb := range members {
@@ -252,6 +276,9 @@ func drive(ctxs []context.Context, members []member, fans []*trace.Fanout, resta
 			leave(i)
 			continue
 		}
+		r := &runs[i]
+		r.next, r.stop = iter.Pull(mb.actions(ctxs[i]))
+		r.want, r.more = r.next()
 		live = append(live, i)
 	}
 	for len(live) > 0 {
@@ -272,12 +299,16 @@ func drive(ctxs []context.Context, members []member, fans []*trace.Fanout, resta
 		progressed := false
 		next = live[:0]
 		for _, i := range live {
-			if fans != nil && starved(fans, i, members[i]) {
+			r := &runs[i]
+			if r.more && fans != nil && starved(fans, i, r.want) {
 				next = append(next, i)
 				continue
 			}
 			progressed = true
-			if members[i].step(ctxs[i]) {
+			if r.more {
+				r.want, r.more = r.next()
+			}
+			if !r.more {
 				finish(i, nil)
 			} else {
 				next = append(next, i)
@@ -301,15 +332,13 @@ func drive(ctxs []context.Context, members []member, fans []*trace.Fanout, resta
 	return reps, errs
 }
 
-// starved reports whether member i's cursors cannot yet feed mb's next
-// step.
-func starved(fans []*trace.Fanout, i int, mb member) bool {
-	cpu, n := mb.need()
-	if cpu >= 0 {
-		return fans[cpu].Cursor(i).Starved(n)
+// starved reports whether member i's cursors cannot yet feed demand d.
+func starved(fans []*trace.Fanout, i int, d demand) bool {
+	if d.cpu >= 0 {
+		return fans[d.cpu].Cursor(i).Starved(d.n)
 	}
 	for _, f := range fans {
-		if f.Cursor(i).Starved(n) {
+		if f.Cursor(i).Starved(d.n) {
 			return true
 		}
 	}
@@ -327,7 +356,7 @@ func profileSources(p workload.Profile, opt RunOptions, cpus int) []trace.Source
 }
 
 // ringDepth sizes the shared ring per CPU stream. A sampled member's
-// largest single step is a whole detailed window's budget or one
+// largest single action is a whole detailed window's budget or one
 // fast-forward chunk; the ring holds twice that, so the slowest member
 // still sees a full ring while others buffer.
 func ringDepth(opt RunOptions) int {
@@ -490,7 +519,6 @@ func lockstep(ctxs []context.Context, models []*Model, p workload.Profile, opt R
 	batchRecordsStreamed.Add(streamed)
 	if served > streamed {
 		batchRecordsSaved.Add(served - streamed)
-		batchBytesSaved.Add((served - streamed) * recordBytes)
 	}
 	return reps, errs
 }

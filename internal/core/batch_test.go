@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"iter"
 	"strings"
 	"testing"
 	"time"
@@ -453,5 +454,46 @@ func TestDriveStallFallback(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scriptMember is an engine member of n actions with no trace demand; with
+// panics set, its second action panics. returned records that its action
+// sequence has ended.
+type scriptMember struct {
+	n        int
+	panics   bool
+	returned bool
+}
+
+func (m *scriptMember) actions(context.Context) iter.Seq[demand] {
+	return func(yield func(demand) bool) {
+		defer func() { m.returned = true }()
+		for k := 0; k < m.n && yield(demand{-1, 0}); k++ {
+			if m.panics && k == 1 {
+				panic("scripted panic")
+			}
+		}
+	}
+}
+
+func (m *scriptMember) finish(error) (system.Report, error) { return system.Report{}, nil }
+
+// TestDriveStopsSequencesOnPanic: a member that panics mid-run propagates
+// out of drive, and the other members' parked action sequences are stopped
+// on the way out rather than left behind.
+func TestDriveStopsSequencesOnPanic(t *testing.T) {
+	bad, other := &scriptMember{n: 10, panics: true}, &scriptMember{n: 100}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("drive swallowed the member's panic")
+			}
+		}()
+		ctxs := []context.Context{context.Background(), context.Background()}
+		drive(ctxs, []member{bad, other}, nil, nil)
+	}()
+	if !other.returned {
+		t.Error("a parked member's action sequence outlived drive")
 	}
 }

@@ -18,17 +18,22 @@ package core
 // is the ratio estimator Σcycles/Σcommitted over all windows; the
 // per-window CPI spread yields the reported confidence bound.
 //
-// A sampled run is a member of the run engine (batch.go): a stepwise state
-// machine whose each step performs one bounded action — a fast-forward
-// chunk on one CPU, or one detailed window. The engine takes a lone run's
-// steps back to back and interleaves a batch's steps against a shared
-// trace ring; either way each machine executes the identical action
-// sequence, so sampled Reports are byte-identical serial vs batched and at
-// any harness worker count, exactly like full runs.
+// A sampled run is a member of the run engine (batch.go): its actions are
+// the schedule loop written out — fast-forward the warm-up, then warm
+// window, measure window, fast-forward the gap, until the cycle cap or the
+// end of the trace — yielding each action's trace demand (one fast-forward
+// chunk on one CPU, or one detailed window on every CPU) just before
+// performing it. The engine runs a lone run's actions back to back and
+// interleaves a batch's actions against a shared trace ring; either way
+// each machine executes the identical action sequence, so sampled Reports
+// are byte-identical serial vs batched and at any harness worker count,
+// exactly like full runs.
 
 import (
 	"context"
+	"iter"
 	"math"
+	"reflect"
 
 	"sparc64v/internal/bpred"
 	"sparc64v/internal/cache"
@@ -66,90 +71,79 @@ func (g *sampleGate) Next(r *trace.Record) bool {
 
 // cpuSnap is one CPU's counter snapshot (core, predictor, caches, TLBs).
 type cpuSnap struct {
-	core              cpu.Stats
-	branch            bpred.Stats
-	l1i, l1d, l2      cache.Stats
-	itlbAcc, itlbMiss uint64
-	dtlbAcc, dtlbMiss uint64
+	Core              cpu.Stats
+	Branch            bpred.Stats
+	L1I, L1D, L2      cache.Stats
+	ITLBAcc, ITLBMiss uint64
+	DTLBAcc, DTLBMiss uint64
 }
 
-// sysSnap is a whole-machine counter snapshot.
+// sysSnap is a whole-machine counter snapshot. Every leaf is a monotonic
+// counter, so a window's activity is the leaf-wise difference of the
+// snapshots around it, and a run's measured activity the leaf-wise sum of
+// its windows.
 type sysSnap struct {
-	cpus              []cpuSnap
-	coh               coherence.Stats
-	busWait, dramWait uint64
+	CPUs              []cpuSnap
+	Coh               coherence.Stats
+	BusWait, DRAMWait uint64
 }
 
 func snapshot(sys *system.System, ncpu int) sysSnap {
-	s := sysSnap{cpus: make([]cpuSnap, ncpu)}
+	s := sysSnap{CPUs: make([]cpuSnap, ncpu)}
 	for i := 0; i < ncpu; i++ {
 		c, chip := sys.CPU(i), sys.Chip(i)
-		cs := &s.cpus[i]
-		cs.core = c.Stats
+		cs := &s.CPUs[i]
+		cs.Core = c.Stats
 		if p := c.Predictor(); p != nil {
-			cs.branch = p.Stats
+			cs.Branch = p.Stats
 		}
-		cs.l1i, cs.l1d, cs.l2 = chip.L1I.Stats, chip.L1D.Stats, chip.L2.Stats
-		cs.itlbAcc, cs.itlbMiss = chip.ITLB.Accesses, chip.ITLB.Misses
-		cs.dtlbAcc, cs.dtlbMiss = chip.DTLB.Accesses, chip.DTLB.Misses
+		cs.L1I, cs.L1D, cs.L2 = chip.L1I.Stats, chip.L1D.Stats, chip.L2.Stats
+		cs.ITLBAcc, cs.ITLBMiss = chip.ITLB.Accesses, chip.ITLB.Misses
+		cs.DTLBAcc, cs.DTLBMiss = chip.DTLB.Accesses, chip.DTLB.Misses
 	}
-	s.coh = sys.Controller().Stats
-	s.busWait = sys.Bus().WaitCycles()
-	s.dramWait = sys.DRAM().WaitCycles()
+	s.Coh = sys.Controller().Stats
+	s.BusWait = sys.Bus().WaitCycles()
+	s.DRAMWait = sys.DRAM().WaitCycles()
 	return s
 }
 
-// sub returns the field-wise counter difference s - o.
-func (s sysSnap) sub(o sysSnap) sysSnap {
-	d := sysSnap{cpus: make([]cpuSnap, len(s.cpus))}
-	for i := range s.cpus {
-		a, b := &s.cpus[i], &o.cpus[i]
-		d.cpus[i] = cpuSnap{
-			core:     a.core.Sub(b.core),
-			branch:   a.branch.Sub(b.branch),
-			l1i:      a.l1i.Sub(b.l1i),
-			l1d:      a.l1d.Sub(b.l1d),
-			l2:       a.l2.Sub(b.l2),
-			itlbAcc:  a.itlbAcc - b.itlbAcc,
-			itlbMiss: a.itlbMiss - b.itlbMiss,
-			dtlbAcc:  a.dtlbAcc - b.dtlbAcc,
-			dtlbMiss: a.dtlbMiss - b.dtlbMiss,
-		}
-	}
-	d.coh = s.coh.Sub(o.coh)
-	d.busWait = s.busWait - o.busWait
-	d.dramWait = s.dramWait - o.dramWait
-	return d
+// add adds o's counters into s, leaf by leaf.
+func (s *sysSnap) add(o sysSnap) {
+	walkCounters(reflect.ValueOf(s).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 { return a + b })
 }
 
-// add returns the field-wise counter sum s + o.
-func (s sysSnap) add(o sysSnap) sysSnap {
-	a := sysSnap{cpus: make([]cpuSnap, len(s.cpus))}
-	for i := range s.cpus {
-		x, y := &s.cpus[i], &o.cpus[i]
-		a.cpus[i] = cpuSnap{
-			core:     x.core.Add(y.core),
-			branch:   x.branch.Add(y.branch),
-			l1i:      x.l1i.Add(y.l1i),
-			l1d:      x.l1d.Add(y.l1d),
-			l2:       x.l2.Add(y.l2),
-			itlbAcc:  x.itlbAcc + y.itlbAcc,
-			itlbMiss: x.itlbMiss + y.itlbMiss,
-			dtlbAcc:  x.dtlbAcc + y.dtlbAcc,
-			dtlbMiss: x.dtlbMiss + y.dtlbMiss,
+// sub subtracts o's counters from s, leaf by leaf (o is an earlier
+// snapshot of the same machine).
+func (s *sysSnap) sub(o sysSnap) {
+	walkCounters(reflect.ValueOf(s).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 { return a - b })
+}
+
+// walkCounters sets every uint64 leaf of dst to f(leaf, the same leaf of
+// src), descending through structs, arrays and slices. Any other kind
+// cannot be a counter, so it panics rather than drop the field from the
+// arithmetic.
+func walkCounters(dst, src reflect.Value, f func(a, b uint64) uint64) {
+	switch dst.Kind() {
+	case reflect.Uint64:
+		dst.SetUint(f(dst.Uint(), src.Uint()))
+	case reflect.Struct:
+		for i := range dst.NumField() {
+			walkCounters(dst.Field(i), src.Field(i), f)
 		}
+	case reflect.Array, reflect.Slice:
+		for i := range dst.Len() {
+			walkCounters(dst.Index(i), src.Index(i), f)
+		}
+	default:
+		panic("core: counter snapshot field " + dst.Type().String() + " is not a counter")
 	}
-	a.coh = s.coh.Add(o.coh)
-	a.busWait = s.busWait + o.busWait
-	a.dramWait = s.dramWait + o.dramWait
-	return a
 }
 
 // committed sums committed instructions across CPUs.
 func (s sysSnap) committed() uint64 {
 	var n uint64
-	for i := range s.cpus {
-		n += s.cpus[i].core.Committed
+	for i := range s.CPUs {
+		n += s.CPUs[i].Core.Committed
 	}
 	return n
 }
@@ -157,9 +151,9 @@ func (s sysSnap) committed() uint64 {
 // cpi returns aggregate cycles per committed instruction.
 func (s sysSnap) cpi() float64 {
 	var cyc, com uint64
-	for i := range s.cpus {
-		cyc += s.cpus[i].core.Cycles
-		com += s.cpus[i].core.Committed
+	for i := range s.CPUs {
+		cyc += s.CPUs[i].Core.Cycles
+		com += s.CPUs[i].Core.Committed
 	}
 	if com == 0 {
 		return 0
@@ -167,29 +161,15 @@ func (s sysSnap) cpi() float64 {
 	return float64(cyc) / float64(com)
 }
 
-// ffChunk bounds one step's fast-forward work (records on one CPU). The
-// chunk keeps a batched member's single step — and therefore its demand on
-// the shared trace ring — bounded, and it is the functional-mode
-// cancellation stride: the engine polls its context between steps.
+// ffChunk bounds one fast-forward action (records on one CPU). The chunk
+// keeps a batched member's single action — and therefore its demand on the
+// shared trace ring — bounded, and it is the functional-mode cancellation
+// stride: the engine polls its context between actions.
 const ffChunk = 4096
 
-// sampledRun stages of the state machine. A run cycles
-// FF(warmup+offset) → [ warm window → measure window → FF(gap) ]* → done,
-// advancing CPU by CPU within each fast-forward region (the same order the
-// loop-based driver used, which matters under MP: functional stores
-// invalidate peer cache lines through the coherence controller, so the
-// inter-CPU execution order is part of the result).
-const (
-	stageFF = iota
-	stageWarm
-	stageMeasure
-	stageDone
-)
-
-// sampledRun is one machine's sampled-simulation state: the gated sources,
-// the functional executors, the accumulated measurement snapshots, and the
-// state-machine position. It is an engine member: advanced by repeated
-// step() calls and closed out by finish().
+// sampledRun is one machine's sampled simulation: the gated sources, the
+// functional executors and the accumulated measurement. It is an engine
+// member: its actions run the schedule, and finish closes it out.
 type sampledRun struct {
 	m     *Model
 	label string
@@ -204,15 +184,6 @@ type sampledRun struct {
 	simErr error
 	capped bool
 
-	stage  int
-	ffCPU  int // CPU currently fast-forwarding
-	ffLeft int // records left for that CPU
-	ffN    int // records per CPU in the current fast-forward region
-	ffGap  int // records between a measure window and the next interval
-
-	pre            sysSnap // snapshot at the current measure window's start
-	preCyc         uint64
-	start          sysSnap
 	acc            sysSnap
 	windows        []float64
 	measuredCycles uint64
@@ -227,8 +198,8 @@ func newSampledRun(m *Model, label string, srcs []trace.Source, opt RunOptions, 
 	}
 	r := &sampledRun{m: m, label: label, opt: opt, sc: sc, sp: sp}
 	cfg := m.cfg
-	// The per-window detailed warm-up replaces the classic warm-up reset;
-	// a mid-run resetMeasurement would corrupt snapshot deltas.
+	// The per-window detailed warm-up replaces the warm-up reset; a
+	// mid-run resetMeasurement would corrupt snapshot deltas.
 	cfg.WarmupInsts = 0
 	endBuild := r.sp.Phase(obs.PhaseBuild)
 	r.gates = make([]*sampleGate, len(srcs))
@@ -249,28 +220,73 @@ func newSampledRun(m *Model, label string, srcs []trace.Source, opt RunOptions, 
 		r.ffs[i] = cpu.NewFastForward(sys.CPU(i))
 	}
 	endBuild()
-
-	r.ffGap = sc.IntervalInsts - sc.WarmupInsts - sc.MeasureInsts
-	r.start = snapshot(sys, r.ncpu)
-	r.acc = sysSnap{cpus: make([]cpuSnap, r.ncpu)}
-
-	// Fast-forward the run-level warm-up region plus the schedule's offset
-	// before the first interval. A full run excludes its first opt.Warmup
-	// committed instructions from statistics (the cold-start transient);
-	// sampling the same population is what makes sampled and full reports
-	// comparable — without this skip the early windows measure cold caches
-	// the full run deliberately discards.
-	r.setFF(int(opt.Warmup) + sc.OffsetInsts)
-	r.norm()
+	r.acc = sysSnap{CPUs: make([]cpuSnap, r.ncpu)}
 	return r, nil
 }
 
-// setFF enters a fast-forward region of n records per CPU.
-func (r *sampledRun) setFF(n int) {
-	r.stage = stageFF
-	r.ffN = n
-	r.ffCPU = 0
-	r.ffLeft = n
+// actions runs the schedule
+//
+//	FF(warmup+offset) → [ warm window → measure window → FF(gap) ]*
+//
+// until the machine hits its cycle cap or every trace runs dry, yielding
+// each action's demand before performing it. A fast-forward region
+// advances CPU by CPU in ffChunk actions; under MP the inter-CPU order is
+// part of the result, since functional stores invalidate peer cache lines
+// through the coherence controller. A cap does not stop a pending
+// fast-forward region (only windows respect it); a simulation error —
+// a cancellation seen inside a window — ends the run.
+func (r *sampledRun) actions(ctx context.Context) iter.Seq[demand] {
+	return func(yield func(demand) bool) {
+		ff := func(n int) bool {
+			for i, g := range r.gates {
+				for left := n; left > 0 && !g.dry; left -= ffChunk {
+					k := min(left, ffChunk)
+					if !yield(demand{i, k}) {
+						return false
+					}
+					r.fastForwardOne(i, k)
+				}
+			}
+			return true
+		}
+		window := func(n int) bool {
+			if !yield(demand{-1, n}) {
+				return false
+			}
+			r.runWindow(ctx, n)
+			return true
+		}
+		// Fast-forward the run-level warm-up region plus the schedule's
+		// offset before the first interval. A full run excludes its first
+		// opt.Warmup committed instructions from statistics (the
+		// cold-start transient); sampling the same population is what
+		// makes sampled and full reports comparable — without this skip
+		// the early windows measure cold caches the full run deliberately
+		// discards.
+		if !ff(int(r.opt.Warmup) + r.sc.OffsetInsts) {
+			return
+		}
+		gap := r.sc.IntervalInsts - r.sc.WarmupInsts - r.sc.MeasureInsts
+		for !r.capped && !r.allDry() {
+			if !window(r.sc.WarmupInsts) {
+				return
+			}
+			pre, preCyc := snapshot(r.sys, r.ncpu), r.sys.Cycle()
+			if r.simErr != nil || !window(r.sc.MeasureInsts) {
+				return
+			}
+			d := snapshot(r.sys, r.ncpu)
+			d.sub(pre)
+			if d.committed() > 0 {
+				r.acc.add(d)
+				r.measuredCycles += r.sys.Cycle() - preCyc
+				r.windows = append(r.windows, d.cpi())
+			}
+			if r.simErr != nil || !ff(gap) {
+				return
+			}
+		}
+	}
 }
 
 // allDry reports whether every CPU's trace is exhausted.
@@ -283,102 +299,9 @@ func (r *sampledRun) allDry() bool {
 	return true
 }
 
-// norm advances the state machine past zero-work transitions, so that
-// afterwards either stage == stageDone or the next step() performs real
-// work whose trace demand need() describes. A cap does not stop a
-// pending fast-forward region (only windows respect it), matching the
-// classic driver's control flow; a cancellation stops everything.
-func (r *sampledRun) norm() {
-	for {
-		if r.stage == stageDone {
-			return
-		}
-		if r.simErr != nil {
-			r.stage = stageDone
-			return
-		}
-		if r.stage != stageFF {
-			return
-		}
-		if r.ffLeft > 0 && !r.gates[r.ffCPU].dry {
-			return
-		}
-		if r.ffLeft > 0 { // dry CPU: nothing to fast-forward
-			r.ffLeft = 0
-		}
-		if r.ffCPU+1 < r.ncpu {
-			r.ffCPU++
-			r.ffLeft = r.ffN
-			continue
-		}
-		// Fast-forward region complete: the inter-interval loop condition.
-		if r.capped || r.allDry() {
-			r.stage = stageDone
-			return
-		}
-		r.stage = stageWarm
-		return
-	}
-}
-
-// need returns which CPU's source the next step reads and the most records
-// it consumes: (cpu, n) for a fast-forward chunk on one CPU, or (-1, n) for
-// a detailed window drawing up to n records from every CPU.
-func (r *sampledRun) need() (int, int) {
-	switch r.stage {
-	case stageFF:
-		n := r.ffLeft
-		if n > ffChunk {
-			n = ffChunk
-		}
-		return r.ffCPU, n
-	case stageWarm:
-		return -1, r.sc.WarmupInsts
-	case stageMeasure:
-		return -1, r.sc.MeasureInsts
-	}
-	return -1, 0
-}
-
-// step performs the run's next bounded action — one fast-forward chunk on
-// one CPU, or one detailed window — and reports whether the run is over.
-func (r *sampledRun) step(ctx context.Context) bool {
-	switch r.stage {
-	case stageFF:
-		n := r.ffLeft
-		if n > ffChunk {
-			n = ffChunk
-		}
-		r.fastForwardOne(r.ffCPU, n)
-		r.ffLeft -= n
-	case stageWarm:
-		r.runWindow(ctx, r.sc.WarmupInsts)
-		r.pre = snapshot(r.sys, r.ncpu)
-		r.preCyc = r.sys.Cycle()
-		r.stage = stageMeasure
-	case stageMeasure:
-		r.runWindow(ctx, r.sc.MeasureInsts)
-		d := snapshot(r.sys, r.ncpu).sub(r.pre)
-		if d.committed() > 0 {
-			r.acc = r.acc.add(d)
-			r.measuredCycles += r.sys.Cycle() - r.preCyc
-			r.windows = append(r.windows, d.cpi())
-		}
-		r.setFF(r.ffGap)
-	}
-	r.norm()
-	return r.stage == stageDone
-}
-
 // fastForwardOne advances CPU i by up to n records functionally.
 func (r *sampledRun) fastForwardOne(i, n int) {
-	if n <= 0 || r.simErr != nil {
-		return
-	}
 	g := r.gates[i]
-	if g.dry {
-		return
-	}
 	end := r.sp.Phase(obs.PhaseFastForward)
 	defer end()
 	var rec trace.Record
@@ -394,7 +317,7 @@ func (r *sampledRun) fastForwardOne(i, n int) {
 // runWindow gives every live CPU a budget of n records and runs the
 // detailed machine until it drains again.
 func (r *sampledRun) runWindow(ctx context.Context, n int) {
-	if n <= 0 || r.simErr != nil || r.capped {
+	if n <= 0 || r.capped {
 		return
 	}
 	live := false
@@ -423,7 +346,7 @@ func (r *sampledRun) runWindow(ctx context.Context, n int) {
 
 // finish assembles the Report: the accumulated window deltas become the
 // counter blocks, and Sampling carries the schedule, mode split and error
-// model. Call exactly once: after stage reaches stageDone, or with the
+// model. Call exactly once: after the actions end, or with the
 // cancellation error cerr.
 func (r *sampledRun) finish(cerr error) (system.Report, error) {
 	if r.simErr == nil {
@@ -434,9 +357,10 @@ func (r *sampledRun) finish(cerr error) (system.Report, error) {
 
 	// Degenerate schedules (trace shorter than one warm-up window, window
 	// longer than the trace): no measurement window completed any commits,
-	// so fall back to everything the detailed model did simulate.
+	// so fall back to everything the detailed model did simulate: the live
+	// snapshot, since a freshly built machine's counters are all zero.
 	if len(r.windows) == 0 {
-		r.acc = snapshot(r.sys, ncpu).sub(r.start)
+		r.acc = snapshot(r.sys, ncpu)
 		r.measuredCycles = r.sys.Cycle()
 		if r.acc.committed() > 0 {
 			r.windows = append(r.windows, r.acc.cpi())
@@ -447,22 +371,22 @@ func (r *sampledRun) finish(cerr error) (system.Report, error) {
 	rep := system.Report{Name: r.m.cfg.Name, Workload: r.label, Cycles: r.measuredCycles, HitCap: r.capped}
 	var measCycles uint64
 	for i := 0; i < ncpu; i++ {
-		cs := &r.acc.cpus[i]
+		cs := &r.acc.CPUs[i]
 		rep.CPUs = append(rep.CPUs, system.CPUReport{
-			Core:         cs.core,
-			Branch:       cs.branch,
-			L1I:          cs.l1i,
-			L1D:          cs.l1d,
-			L2:           cs.l2,
-			ITLBMissRate: stats.Ratio(cs.itlbMiss, cs.itlbAcc),
-			DTLBMissRate: stats.Ratio(cs.dtlbMiss, cs.dtlbAcc),
+			Core:         cs.Core,
+			Branch:       cs.Branch,
+			L1I:          cs.L1I,
+			L1D:          cs.L1D,
+			L2:           cs.L2,
+			ITLBMissRate: stats.Ratio(cs.ITLBMiss, cs.ITLBAcc),
+			DTLBMissRate: stats.Ratio(cs.DTLBMiss, cs.DTLBAcc),
 		})
-		rep.Committed += cs.core.Committed
-		measCycles += cs.core.Cycles
+		rep.Committed += cs.Core.Committed
+		measCycles += cs.Core.Cycles
 	}
-	rep.Coherence = r.acc.coh
-	rep.BusWaitCycles = r.acc.busWait
-	rep.DRAMWaitCycles = r.acc.dramWait
+	rep.Coherence = r.acc.Coh
+	rep.BusWaitCycles = r.acc.BusWait
+	rep.DRAMWaitCycles = r.acc.DRAMWait
 
 	var ffInsts, detInsts uint64
 	for i := 0; i < ncpu; i++ {

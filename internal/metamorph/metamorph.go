@@ -347,13 +347,3 @@ func injectedFaults() string {
 	}
 	return strings.Join(armed, "+")
 }
-
-// CheckNames lists the catalog, sorted, for flag validation and docs.
-func CheckNames() []string {
-	var names []string
-	for _, c := range Catalog() {
-		names = append(names, c.Name)
-	}
-	sort.Strings(names)
-	return names
-}

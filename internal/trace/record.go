@@ -44,9 +44,6 @@ type Record struct {
 // Writes to %g0 are discarded by hardware and create no dependency.
 func (r *Record) HasDst() bool { return r.Dst != isa.RegNone && r.Dst != isa.G0 }
 
-// BranchTarget returns the target address of a taken control transfer.
-func (r *Record) BranchTarget() uint64 { return r.EA }
-
 // NextPC returns the address of the next instruction actually executed.
 func (r *Record) NextPC() uint64 {
 	if r.Op.IsBranch() && r.Taken {

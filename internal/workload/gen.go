@@ -611,7 +611,8 @@ func (g *Gen) newFPDst() uint8 {
 	return r
 }
 
-// Describe summarizes the static program (used by traceinfo and tests).
+// Describe summarizes the static program: profile, function and block
+// counts, code size and data regions.
 func (g *Gen) Describe() string {
 	return fmt.Sprintf("%s: funcs=%d blocks=%d code=%dKB regions=%d",
 		g.prof.Name, len(g.funcs), len(g.blocks), g.prof.CodeBytes()>>10,

@@ -301,6 +301,15 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkNewGen times building a generator's static program, the fixed
+// cost every run pays per CPU before its first record.
+func BenchmarkNewGen(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		New(TPCC(), 1, 0)
+	}
+}
+
 func TestHPCProfile(t *testing.T) {
 	p := HPC()
 	g := New(p, 3, 0)

@@ -25,7 +25,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring"
+PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload"
 COUNT="${BENCH_COUNT:-5}"
 NS_TOL="${BENCH_NS_TOLERANCE:-75}"
 ALLOC_TOL="${BENCH_ALLOC_TOLERANCE:-15}"
