@@ -12,6 +12,7 @@ package bpred
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/isa"
@@ -29,8 +30,11 @@ type entry struct {
 type BHT struct {
 	sets    [][]entry
 	setMask uint64
-	access  int
-	tick    uint64
+	// tagShift is log2 of the set count: the tag is the line number
+	// above the set-index bits.
+	tagShift uint
+	access   int
+	tick     uint64
 }
 
 // NewBHT builds a table with the given geometry.
@@ -44,7 +48,12 @@ func NewBHT(g config.BHTGeometry) *BHT {
 	for i := range sets {
 		sets[i], backing = backing[:g.Ways:g.Ways], backing[g.Ways:]
 	}
-	return &BHT{sets: sets, setMask: uint64(nsets - 1), access: g.AccessCycles}
+	return &BHT{
+		sets:     sets,
+		setMask:  uint64(nsets - 1),
+		tagShift: uint(bits.TrailingZeros(uint(nsets))),
+		access:   g.AccessCycles,
+	}
 }
 
 // AccessCycles returns the table read latency (taken-branch fetch bubbles).
@@ -52,15 +61,7 @@ func (b *BHT) AccessCycles() int { return b.access }
 
 func (b *BHT) index(pc uint64) (set uint64, tag uint64) {
 	line := pc >> 2
-	return line & b.setMask, line >> uint(popcount(b.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	return line & b.setMask, line >> b.tagShift
 }
 
 // Lookup predicts the branch at pc. hit reports whether the table holds an

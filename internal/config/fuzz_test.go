@@ -2,14 +2,16 @@ package config
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 // FuzzConfigOverlay fuzzes the configuration overlay, the JSON surface
 // behind sparc64sim -config and every service request's "config" field:
-// no input panics, and an accepted overlay is a fixed point of its own
-// serialization — written with WriteJSON and overlaid on Base() again, it
-// has the same content address.
+// no input panics, an accepted overlay's canonical bytes equal the round
+// trip oracle's, and it is a fixed point of its own serialization —
+// written with WriteJSON and overlaid on Base() again, it has the same
+// content address.
 func FuzzConfigOverlay(f *testing.F) {
 	for _, seed := range []string{
 		`{"CPUs": 8}`,
@@ -32,6 +34,7 @@ func FuzzConfigOverlay(f *testing.F) {
 		if err != nil {
 			return
 		}
+		assertMatchesOracle(t, fmt.Sprintf("overlay %q", overlay), c)
 		want, err := c.Hash()
 		if err != nil {
 			t.Fatalf("overlay %q: hash: %v", overlay, err)

@@ -64,15 +64,6 @@ func (s Sampling) Validate() error {
 	return nil
 }
 
-// DetailedFraction returns the fraction of instructions simulated on the
-// detailed model (warm-up + measurement over the interval).
-func (s Sampling) DetailedFraction() float64 {
-	if !s.Enabled() {
-		return 1
-	}
-	return float64(s.WarmupInsts+s.MeasureInsts) / float64(s.IntervalInsts)
-}
-
 // String renders the spec in the form ParseSampling accepts.
 func (s Sampling) String() string {
 	if !s.Enabled() {

@@ -93,13 +93,3 @@ func TestSamplingValidateRejectsOverlap(t *testing.T) {
 		t.Error("ParseSampling accepted overlapping schedule")
 	}
 }
-
-func TestSamplingDetailedFraction(t *testing.T) {
-	s := Sampling{IntervalInsts: 100_000, WarmupInsts: 2_000, MeasureInsts: 3_000}
-	if f := s.DetailedFraction(); f != 0.05 {
-		t.Errorf("DetailedFraction = %v", f)
-	}
-	if f := (Sampling{}).DetailedFraction(); f != 1 {
-		t.Errorf("disabled DetailedFraction = %v", f)
-	}
-}

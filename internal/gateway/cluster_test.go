@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"sparc64v/internal/config"
 	"sparc64v/internal/obs"
 	"sparc64v/internal/runcache"
 	"sparc64v/internal/server"
@@ -27,6 +28,17 @@ import (
 // clusterInsts keeps real simulations short enough for tests while long
 // enough to exercise the full pipeline.
 const clusterInsts = 20_000
+
+// planFor returns the candidate order the gateway would try for a run
+// request right now: its routing key placed on the ring, filtered by
+// current health.
+func planFor(g *Gateway, req server.RunRequest) ([]string, error) {
+	rr, err := server.ResolveRun(config.Base(), g.insts, req)
+	if err != nil {
+		return nil, err
+	}
+	return g.candidates(rr.Key.ID()), nil
+}
 
 // node is one simd worker under test control.
 type node struct {
@@ -176,7 +188,7 @@ func TestClusterSurvivesWorkerKillMidSweep(t *testing.T) {
 	if err := json.Unmarshal([]byte(bodies[2]), &req); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := gw.PlanFor(req)
+	plan, err := planFor(gw, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +282,7 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatal(err)
 		}
-		plan, err := gw.PlanFor(req)
+		plan, err := planFor(gw, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +350,7 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	if err := json.Unmarshal([]byte(victim), &req); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := gw.PlanFor(req)
+	plan, err := planFor(gw, req)
 	if err != nil {
 		t.Fatal(err)
 	}

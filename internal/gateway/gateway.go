@@ -474,26 +474,6 @@ func (g *Gateway) Status() []WorkerView {
 	return out
 }
 
-// ResolveKey computes the routing key for a run request body — exposed
-// so tests and the cluster-replay check can predict placement.
-func (g *Gateway) ResolveKey(req server.RunRequest) (string, error) {
-	rr, err := server.ResolveRun(config.Base(), g.insts, req)
-	if err != nil {
-		return "", err
-	}
-	return rr.Key.ID(), nil
-}
-
-// PlanFor returns the candidate order the gateway would try for a run
-// request right now (health-dependent; tests).
-func (g *Gateway) PlanFor(req server.RunRequest) ([]string, error) {
-	key, err := g.ResolveKey(req)
-	if err != nil {
-		return nil, err
-	}
-	return g.candidates(key), nil
-}
-
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -73,8 +73,8 @@ func TestRemoteHit(t *testing.T) {
 	if ran {
 		t.Fatal("remote hit still ran the simulation")
 	}
-	if outcome != OutcomeRemoteHit || outcome.String() != "hit-peer" || !outcome.Cached() {
-		t.Fatalf("outcome = %v (%s), want OutcomeRemoteHit/hit-peer/cached", outcome, outcome)
+	if outcome != OutcomeRemoteHit || outcome.String() != "hit-peer" {
+		t.Fatalf("outcome = %v (%s), want OutcomeRemoteHit/hit-peer", outcome, outcome)
 	}
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(rep)

@@ -88,10 +88,6 @@ const (
 	OutcomeRemoteHit
 )
 
-// Cached reports whether the outcome avoided running a new simulation in
-// this request (hits and shared flights).
-func (o Outcome) Cached() bool { return o != OutcomeMiss }
-
 // String names the outcome for responses and logs.
 func (o Outcome) String() string {
 	switch o {

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Benchmark regression gate over the scheduler, run-cache and placement
-# micro-benchmarks (the paths every simulation request crosses).
+# Benchmark regression gate over the scheduler, run-cache, placement,
+# run-key and predictor micro-benchmarks (the paths every simulation
+# request crosses).
 #
 # Runs `go test -bench . -benchmem -count $BENCH_COUNT` (default 5), takes
 # the per-benchmark MEDIAN ns/op and allocs/op, writes them to
@@ -25,7 +26,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload"
+PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload ./internal/config ./internal/server ./internal/bpred"
 COUNT="${BENCH_COUNT:-5}"
 NS_TOL="${BENCH_NS_TOLERANCE:-75}"
 ALLOC_TOL="${BENCH_ALLOC_TOLERANCE:-15}"
