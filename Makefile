@@ -7,7 +7,7 @@ INSTS ?= 1000000
 # with unchanged config+workload+seed+model are served without simulating.
 CACHE_DIR ?= .simcache
 
-.PHONY: build test race bench bench-test benchdiff bench-baseline sampling-speedup sweep accuracy serve smoke cluster-smoke verify verify-quick litmus clean
+.PHONY: build test race bench bench-test benchdiff bench-baseline sampling-speedup sweep experiments-check accuracy serve smoke cluster-smoke verify verify-quick litmus clean
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,16 @@ sampling-speedup:
 # workload, seed, or model-version change re-simulate.
 sweep:
 	$(GO) run ./cmd/sweep -insts $(INSTS) -markdown -cache-dir $(CACHE_DIR) > EXPERIMENTS.md
+
+# The "same answers" gate: a cold full-length sweep into an empty cache
+# directory must reproduce the checked-in EXPERIMENTS.md byte for byte. A
+# change that moves any reported figure fails here until `make sweep`
+# regenerates the file (and core.ModelVersion is bumped).
+experiments-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	mkdir "$$dir/cache" && \
+	$(GO) run ./cmd/sweep -insts 1000000 -markdown -cache-dir "$$dir/cache" > "$$dir/EXPERIMENTS.md" && \
+	cmp "$$dir/EXPERIMENTS.md" EXPERIMENTS.md
 
 accuracy:
 	$(GO) run ./cmd/accuracy -cache-dir $(CACHE_DIR)

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"sparc64v/internal/analytic"
 	"sparc64v/internal/config"
@@ -45,7 +46,7 @@ import (
 
 func main() {
 	var (
-		workloadName = flag.String("workload", "specint2000", "workload name")
+		workloadName = flag.String("workload", "specint2000", "workload: "+strings.Join(workload.Names(), "|"))
 		insts        = flag.Int("insts", 300_000, "instructions per run")
 		seed         = flag.Int64("seed", 42, "workload seed")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/cpu"
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	var (
-		workloadName = flag.String("workload", "specint95", "workload name")
+		workloadName = flag.String("workload", "specint95", "workload: "+strings.Join(workload.Names(), "|"))
 		skip         = flag.Int("skip", 1000, "instructions to skip before tracing")
 		n            = flag.Int("n", 30, "instructions to trace")
 		lanes        = flag.Bool("lanes", false, "render occupancy lanes instead of timestamps")

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/core"
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		workloadName = flag.String("workload", "specint95", "workload: specint95|specfp95|specint2000|specfp2000|tpcc|tpcc16p")
+		workloadName = flag.String("workload", "specint95", "workload: "+strings.Join(workload.Names(), "|"))
 		traceFile    = flag.String("trace", "", "run a trace file instead of a synthetic workload")
 		insts        = flag.Int("insts", 400_000, "instructions to simulate per CPU")
 		seed         = flag.Int64("seed", 42, "workload generator seed")

@@ -153,9 +153,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	return r.buf[r.top], true
 }
 
-// Depth returns the current number of valid entries.
-func (r *RAS) Depth() int { return r.n }
-
 // Stats counts prediction outcomes.
 type Stats struct {
 	// CondBranches and CondMispredicts count conditional branches.

@@ -125,8 +125,8 @@ func TestRAS(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		r.Push(uint64(i))
 	}
-	if r.Depth() != 4 {
-		t.Fatalf("Depth = %d", r.Depth())
+	if r.n != 4 {
+		t.Fatalf("depth = %d", r.n)
 	}
 	for want := 6; want >= 3; want-- {
 		a, ok := r.Pop()
@@ -166,7 +166,7 @@ func TestRASQuick(t *testing.T) {
 				}
 			}
 		}
-		return r.Depth() == len(model)
+		return r.n == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -85,27 +85,8 @@ type Stats struct {
 	PrefetchedEvictedUnused uint64
 }
 
-// DemandMissRate returns demand misses per demand access.
-func (s *Stats) DemandMissRate() float64 {
-	if s.DemandAccesses == 0 {
-		return 0
-	}
-	return float64(s.DemandMisses) / float64(s.DemandAccesses)
-}
-
-// TotalMissRate returns all misses per all accesses (the paper's "with"
-// bars, which include prefetch requests).
-func (s *Stats) TotalMissRate() float64 {
-	a := s.DemandAccesses + s.PrefetchAccesses
-	if a == 0 {
-		return 0
-	}
-	return float64(s.DemandMisses+s.PrefetchMisses) / float64(a)
-}
-
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
-	geo       config.CacheGeometry
 	sets      [][]Line
 	setMask   uint64
 	lineShift uint
@@ -134,12 +115,9 @@ func New(geo config.CacheGeometry) *Cache {
 	for i := range sets {
 		sets[i], backing = backing[:geo.Ways:geo.Ways], backing[geo.Ways:]
 	}
-	return &Cache{geo: geo, sets: sets,
+	return &Cache{sets: sets,
 		setMask: faultedSetMask(uint64(nsets - 1)), lineShift: shift}
 }
-
-// Geometry returns the configured geometry.
-func (c *Cache) Geometry() config.CacheGeometry { return c.geo }
 
 // LineAddr returns the line number containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
@@ -289,21 +267,6 @@ func (c *Cache) SetState(addr uint64, st State) {
 	if l := c.Lookup(addr, false); l != nil {
 		l.State = st
 	}
-}
-
-// Occupancy returns the fraction of lines in non-Invalid state (testing and
-// warmup diagnostics).
-func (c *Cache) Occupancy() float64 {
-	total, valid := 0, 0
-	for _, set := range c.sets {
-		for i := range set {
-			total++
-			if set[i].State != Invalid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(total)
 }
 
 // CheckInvariants verifies structural invariants (tests): no duplicate tags

@@ -7,10 +7,6 @@ package cache
 // misses to the same line merge onto the existing entry.
 type MSHRs struct {
 	entries []mshrEntry
-	// Stats
-	Allocations uint64
-	Merges      uint64
-	FullStalls  uint64
 }
 
 type mshrEntry struct {
@@ -42,7 +38,6 @@ func (m *MSHRs) Pending(lineAddr uint64, cycle uint64) (readyAt uint64, ok bool)
 	for i := range m.entries {
 		e := &m.entries[i]
 		if e.valid && e.readyAt > cycle && e.lineAddr == lineAddr {
-			m.Merges++
 			return e.readyAt, true
 		}
 	}
@@ -60,7 +55,6 @@ func (m *MSHRs) CanAllocate(cycle uint64) bool {
 			return true
 		}
 	}
-	m.FullStalls++
 	return false
 }
 
@@ -73,24 +67,8 @@ func (m *MSHRs) Allocate(lineAddr, readyAt, cycle uint64) bool {
 		e := &m.entries[i]
 		if !e.valid {
 			*e = mshrEntry{lineAddr: lineAddr, readyAt: readyAt, valid: true}
-			m.Allocations++
 			return true
 		}
 	}
-	m.FullStalls++
 	return false
 }
-
-// InFlight returns the number of outstanding misses at cycle.
-func (m *MSHRs) InFlight(cycle uint64) int {
-	n := 0
-	for i := range m.entries {
-		if m.entries[i].valid && m.entries[i].readyAt > cycle {
-			n++
-		}
-	}
-	return n
-}
-
-// Size returns the configured entry count.
-func (m *MSHRs) Size() int { return len(m.entries) }

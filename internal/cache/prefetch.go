@@ -17,9 +17,6 @@ type Prefetcher struct {
 	degree  int
 	stride  bool
 	scratch []uint64
-	// Stats
-	Triggers uint64
-	Issued   uint64
 }
 
 type pfEntry struct {
@@ -58,7 +55,6 @@ func NewPrefetcher(degree int, stride bool, entries int) *Prefetcher {
 // the line addresses to prefetch into the L2. The returned slice is reused
 // across calls.
 func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {
-	p.Triggers++
 	p.scratch = p.scratch[:0]
 	step := int64(1)
 	if p.stride {
@@ -83,7 +79,6 @@ func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {
 		}
 		p.scratch = append(p.scratch, uint64(next))
 	}
-	p.Issued += uint64(len(p.scratch))
 	return p.scratch
 }
 

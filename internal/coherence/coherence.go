@@ -72,9 +72,6 @@ func (c *Controller) AttachChip(ch ChipCache) int {
 	return len(c.chips) - 1
 }
 
-// Chips returns the number of attached chips.
-func (c *Controller) Chips() int { return len(c.chips) }
-
 // lineBytes returns the coherence granule size.
 func (c *Controller) lineBytes() uint64 { return uint64(c.p.L2.LineBytes) }
 

@@ -67,9 +67,6 @@ func HashJSON(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Canonical returns the configuration's canonical JSON serialization.
-func (c Config) Canonical() ([]byte, error) { return CanonicalJSON(c) }
-
 // Hash returns the hex SHA-256 of the canonical serialization: the
 // configuration's content address. Equal values hash equal; any
 // single-field change hashes different; the value is stable across

@@ -89,11 +89,11 @@ func TestConfigHashGolden(t *testing.T) {
 // TestCanonicalJSONDeterministic pins that canonicalization is stable under
 // repeated application and produces identical bytes for identical values.
 func TestCanonicalJSONDeterministic(t *testing.T) {
-	a, err := Base().Canonical()
+	a, err := CanonicalJSON(Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Base().Canonical()
+	b, err := CanonicalJSON(Base())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,18 +151,17 @@ func TestRunManyDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := NewModel(config.Base())
-	p := workload.SPECint95()
 	opt := testCacheOpt(cache)
 	opt.Workers = 4
+	jobs := seedJobs(config.Base(), workload.SPECint95(), opt, 3)
 
-	// RunMany over n seeds twice concurrently: the second wave must share
-	// or hit, never duplicate a simulation.
+	// The same 3 seeds twice concurrently: the second wave must share or
+	// hit, never duplicate a simulation.
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := m.RunManyContext(context.Background(), p, opt, 3)
-			done <- err
+			_, errs := RunJobs(context.Background(), jobs, opt)
+			done <- firstErr(errs)
 		}()
 	}
 	for i := 0; i < 2; i++ {

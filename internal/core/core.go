@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"math"
 
 	"sparc64v/internal/config"
 	"sparc64v/internal/obs"
@@ -56,10 +55,10 @@ type RunOptions struct {
 	// trace capture); 0 means Insts/5.
 	Warmup uint64
 	// Workers bounds harness-level fan-out (RunJobs): how many independent
-	// simulations (BreakdownContext's fidelity runs, RunManyContext's
-	// seeds, the expt studies) run concurrently. 0 means GOMAXPROCS, 1
-	// forces a serial run. It never changes results — every job owns its
-	// model and trace state, and results are assembled in submission order.
+	// simulations (BreakdownContext's fidelity runs, the expt studies) run
+	// concurrently. 0 means GOMAXPROCS, 1 forces a serial run. It never
+	// changes results — every job owns its model and trace state, and
+	// results are assembled in submission order.
 	// RunJobs also batches same-trace jobs on its own (see RunJobs), which
 	// likewise never changes a result.
 	Workers int
@@ -319,50 +318,4 @@ func Versions() []Version {
 		{"v7", "bus and memory-bank contention", lad(v7, true)},
 		{"v8", "MP coherence transfer timing (final model)", lad(v8, true)},
 	}
-}
-
-// Aggregate summarizes repeated runs of one configuration over several
-// trace samples (different seeds), the analogue of the paper sampling
-// multiple windows of its TPC-C traces.
-type Aggregate struct {
-	// Reports holds the per-seed reports.
-	Reports []system.Report
-	// MeanIPC and StdIPC summarize the IPC distribution.
-	MeanIPC, StdIPC float64
-}
-
-// RunManyContext runs the profile over n consecutive seeds starting at
-// opt.Seed. The seeds are independent jobs (RunJobs) sharing ctx; reports
-// stay in seed order regardless of completion order.
-func (m *Model) RunManyContext(ctx context.Context, p workload.Profile, opt RunOptions, n int) (Aggregate, error) {
-	if n < 1 {
-		n = 1
-	}
-	opt.defaults()
-	var agg Aggregate
-	jobs := make([]Job, n)
-	for i := range jobs {
-		o := opt
-		o.Seed = opt.Seed + int64(i)
-		jobs[i] = Job{Config: m.cfg, Profile: p, Opt: o}
-	}
-	reports, errs := RunJobs(ctx, jobs, opt)
-	if err := firstErr(errs); err != nil {
-		return agg, err
-	}
-	ipcs := make([]float64, 0, n)
-	for _, r := range reports {
-		agg.Reports = append(agg.Reports, r)
-		ipcs = append(ipcs, r.IPC())
-	}
-	agg.MeanIPC = stats.Mean(ipcs)
-	var ss float64
-	for _, x := range ipcs {
-		d := x - agg.MeanIPC
-		ss += d * d
-	}
-	if len(ipcs) > 1 {
-		agg.StdIPC = math.Sqrt(ss / float64(len(ipcs)-1))
-	}
-	return agg, nil
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"sparc64v/internal/config"
+	"sparc64v/internal/stats"
 	"sparc64v/internal/system"
 	"sparc64v/internal/trace"
 	"sparc64v/internal/workload"
@@ -166,27 +168,45 @@ func TestVersionEstimatesTrend(t *testing.T) {
 	}
 }
 
+// seedJobs returns n jobs running p on cfg over consecutive seeds from
+// opt.Seed: several trace samples of one configuration, the analogue of
+// the paper sampling multiple windows of its TPC-C traces.
+func seedJobs(cfg config.Config, p workload.Profile, opt RunOptions, n int) []Job {
+	jobs := make([]Job, n)
+	for i := range jobs {
+		o := opt
+		o.Seed += int64(i)
+		jobs[i] = Job{Config: cfg, Profile: p, Opt: o}
+	}
+	return jobs
+}
+
+// TestRunMany: different seeds produce different samples (non-zero
+// spread), but the workload is statistically stable (spread well under
+// the mean).
 func TestRunMany(t *testing.T) {
-	m, _ := NewModel(config.Base())
-	agg, err := m.RunManyContext(context.Background(), workload.SPECint95(), RunOptions{Insts: 30_000, Seed: 5}, 3)
-	if err != nil {
+	opt := RunOptions{Insts: 30_000, Seed: 5}
+	reports, errs := RunJobs(context.Background(), seedJobs(config.Base(), workload.SPECint95(), opt, 3), opt)
+	if err := firstErr(errs); err != nil {
 		t.Fatal(err)
 	}
-	if len(agg.Reports) != 3 {
-		t.Fatalf("reports: %d", len(agg.Reports))
+	if len(reports) != 3 {
+		t.Fatalf("reports: %d", len(reports))
 	}
-	if agg.MeanIPC <= 0 {
+	ipcs := make([]float64, len(reports))
+	for i, r := range reports {
+		ipcs[i] = r.IPC()
+	}
+	mean := stats.Mean(ipcs)
+	if mean <= 0 {
 		t.Fatal("mean IPC not positive")
 	}
-	// Different seeds produce different samples (non-zero spread), but the
-	// workload is statistically stable (spread well under the mean).
-	if agg.StdIPC <= 0 || agg.StdIPC > agg.MeanIPC/4 {
-		t.Errorf("IPC spread %.4f implausible for mean %.3f", agg.StdIPC, agg.MeanIPC)
+	var ss float64
+	for _, x := range ipcs {
+		ss += (x - mean) * (x - mean)
 	}
-	// n < 1 clamps.
-	one, err := m.RunManyContext(context.Background(), workload.SPECint95(), RunOptions{Insts: 20_000}, 0)
-	if err != nil || len(one.Reports) != 1 || one.StdIPC != 0 {
-		t.Fatalf("clamped RunMany: %v %d", err, len(one.Reports))
+	if std := math.Sqrt(ss / float64(len(ipcs)-1)); std <= 0 || std > mean/4 {
+		t.Errorf("IPC spread %.4f implausible for mean %.3f", std, mean)
 	}
 }
 
@@ -212,15 +232,15 @@ func TestRunContextCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestRunManyContextCancelled verifies the scheduled-seed fan-out stops
+// TestRunManyContextCancelled verifies the scheduled seed fan-out stops
 // handing out seeds once the context fires.
 func TestRunManyContextCancelled(t *testing.T) {
-	m, _ := NewModel(config.Base())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := m.RunManyContext(ctx, workload.SPECint95(), RunOptions{Insts: 40_000, Workers: 2}, 6)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunManyContext err = %v", err)
+	opt := RunOptions{Insts: 40_000, Workers: 2}
+	_, errs := RunJobs(ctx, seedJobs(config.Base(), workload.SPECint95(), opt, 6), opt)
+	if err := firstErr(errs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunJobs err = %v", err)
 	}
 }
 

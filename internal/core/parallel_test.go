@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparc64v/internal/config"
+	"sparc64v/internal/system"
 	"sparc64v/internal/workload"
 )
 
@@ -12,34 +13,25 @@ import (
 // harness level: fanning the seed sweep onto workers must reproduce the
 // serial reports seed for seed, in order.
 func TestRunManyParallelMatchesSerial(t *testing.T) {
-	m, err := NewModel(config.Base())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 4
-	opt := RunOptions{Insts: 20_000, Workers: 1}
-	serial, err := m.RunManyContext(context.Background(), workload.SPECint95(), opt, n)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) []system.Report {
+		opt := RunOptions{Insts: 20_000, Workers: workers}
+		reports, errs := RunJobs(context.Background(), seedJobs(config.Base(), workload.SPECint95(), opt, n), opt)
+		if err := firstErr(errs); err != nil {
+			t.Fatal(err)
+		}
+		return reports
 	}
-	opt.Workers = n
-	parallel, err := m.RunManyContext(context.Background(), workload.SPECint95(), opt, n)
-	if err != nil {
-		t.Fatal(err)
+	serial, parallel := run(1), run(n)
+	if len(serial) != n || len(parallel) != n {
+		t.Fatalf("report counts: serial %d, parallel %d", len(serial), len(parallel))
 	}
-	if len(serial.Reports) != n || len(parallel.Reports) != n {
-		t.Fatalf("report counts: serial %d, parallel %d", len(serial.Reports), len(parallel.Reports))
-	}
-	for i := range serial.Reports {
-		s, p := serial.Reports[i], parallel.Reports[i]
+	for i := range serial {
+		s, p := serial[i], parallel[i]
 		if s.Cycles != p.Cycles || s.Committed != p.Committed {
 			t.Errorf("seed %d: serial %d cycles/%d committed, parallel %d cycles/%d committed",
 				i, s.Cycles, s.Committed, p.Cycles, p.Committed)
 		}
-	}
-	if serial.MeanIPC != parallel.MeanIPC || serial.StdIPC != parallel.StdIPC {
-		t.Errorf("aggregate stats differ: serial %.9f±%.9f, parallel %.9f±%.9f",
-			serial.MeanIPC, serial.StdIPC, parallel.MeanIPC, parallel.StdIPC)
 	}
 }
 

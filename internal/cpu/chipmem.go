@@ -43,9 +43,7 @@ type ChipMem struct {
 	Observer MemObserver
 
 	// Stats
-	TLBStallCycles  uint64
-	UpgradeRequests uint64
-	BackInvalidates uint64
+	TLBStallCycles uint64
 }
 
 // NewChipMem builds the hierarchy for chip id.
@@ -123,16 +121,13 @@ func (m *ChipMem) AccessData(addr uint64, store bool, cycle uint64) DataResult {
 	}
 	line := m.L1D.Access(addr)
 	if line != nil {
-		if store && !line.State.Writable() {
-			// Upgrade: obtain write permission. The store buffer hides the
-			// latency; the bus traffic still costs (MP invalidations).
-			m.UpgradeRequests++
-			if m.cfg.CPUs > 1 {
+		if store {
+			if !line.State.Writable() && m.cfg.CPUs > 1 {
+				// Upgrade: obtain write permission. The store buffer hides
+				// the latency; the bus traffic still costs (MP
+				// invalidations).
 				m.port.Upgrade(m.id, addr, cycle)
 			}
-			line.State = cache.Modified
-			m.L2.SetState(addr, cache.Modified)
-		} else if store {
 			line.State = cache.Modified
 			m.L2.SetState(addr, cache.Modified)
 		}
@@ -318,15 +313,10 @@ func (m *ChipMem) fillL2(addr uint64, st cache.State, prefetched bool, cycle uin
 	vaddr := ev.Addr(m.L2.LineShift())
 	// Inclusion: remove the victim from the L1s; a dirty L1 copy folds
 	// into the writeback.
-	if st := m.L1D.Invalidate(vaddr); st != cache.Invalid {
-		m.BackInvalidates++
-		if st.Dirty() {
-			ev.State = cache.Modified
-		}
+	if m.L1D.Invalidate(vaddr).Dirty() {
+		ev.State = cache.Modified
 	}
-	if m.L1I.Invalidate(vaddr) != cache.Invalid {
-		m.BackInvalidates++
-	}
+	m.L1I.Invalidate(vaddr)
 	if ev.State.Dirty() && !m.cfg.Fidelity.FlatMemory {
 		m.port.Writeback(vaddr, cycle)
 	}

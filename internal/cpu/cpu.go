@@ -567,7 +567,7 @@ func (c *CPU) resetMeasurement() {
 	m.L1I.Stats, m.L1D.Stats, m.L2.Stats = cacheStatsZero, cacheStatsZero, cacheStatsZero
 	m.ITLB.Accesses, m.ITLB.Misses = 0, 0
 	m.DTLB.Accesses, m.DTLB.Misses = 0, 0
-	m.TLBStallCycles, m.UpgradeRequests = 0, 0
+	m.TLBStallCycles = 0
 }
 
 // String summarizes pipeline state (debugging aid).

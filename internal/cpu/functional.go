@@ -115,11 +115,7 @@ func (m *ChipMem) WarmData(addr uint64, store bool) {
 		return
 	}
 	if line := m.L1D.Access(addr); line != nil {
-		if store && !line.State.Writable() {
-			m.UpgradeRequests++
-			line.State = cache.Modified
-			m.L2.SetState(addr, cache.Modified)
-		} else if store {
+		if store {
 			line.State = cache.Modified
 			m.L2.SetState(addr, cache.Modified)
 		}
@@ -163,12 +159,8 @@ func (m *ChipMem) warmFillL2(addr uint64, st cache.State, prefetched bool) {
 		return
 	}
 	vaddr := ev.Addr(m.L2.LineShift())
-	if m.L1D.Invalidate(vaddr) != cache.Invalid {
-		m.BackInvalidates++
-	}
-	if m.L1I.Invalidate(vaddr) != cache.Invalid {
-		m.BackInvalidates++
-	}
+	m.L1D.Invalidate(vaddr)
+	m.L1I.Invalidate(vaddr)
 }
 
 // warmPrefetch trains the prefetcher on a demand miss and applies its fills

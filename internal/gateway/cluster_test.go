@@ -215,8 +215,8 @@ func TestClusterSurvivesWorkerKillMidSweep(t *testing.T) {
 				body, v.Stats, baseline[body].Stats)
 		}
 	}
-	if st := gw.Status(); len(st) != 3 {
-		t.Fatalf("status rows = %d", len(st))
+	if n := len(gw.workers); n != 3 {
+		t.Fatalf("pool has %d workers, want 3", n)
 	}
 }
 
@@ -357,10 +357,8 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	if plan[0] == nodes[0].name {
 		t.Fatal("drained node still planned first after health probe")
 	}
-	for _, row := range gw.Status() {
-		if row.Name == nodes[0].name && !row.Draining {
-			t.Fatal("status does not show the node draining")
-		}
+	if !gw.workers[nodes[0].name].draining.Load() {
+		t.Fatal("gateway does not mark the node draining")
 	}
 }
 

@@ -451,29 +451,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g.reg.WritePrometheus(w)
 }
 
-// WorkerView is one row of Status.
-type WorkerView struct {
-	Name     string `json:"name"`
-	URL      string `json:"url"`
-	Healthy  bool   `json:"healthy"`
-	Draining bool   `json:"draining"`
-}
-
-// Status snapshots the gateway's view of the pool (tests; debugging).
-func (g *Gateway) Status() []WorkerView {
-	out := make([]WorkerView, 0, len(g.workers))
-	for _, name := range g.ring.Nodes() {
-		ws := g.workers[name]
-		out = append(out, WorkerView{
-			Name:     ws.Name,
-			URL:      ws.URL,
-			Healthy:  ws.healthy.Load(),
-			Draining: ws.draining.Load(),
-		})
-	}
-	return out
-}
-
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -91,8 +91,9 @@ func TestProbeHealthReusesConnection(t *testing.T) {
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("5 health probes opened %d connections, want 1", n)
 	}
-	if st := gw.Status(); !st[0].Healthy || st[0].Draining {
-		t.Fatalf("probed worker view = %+v, want healthy and not draining", st[0])
+	if ws := gw.workers["w0"]; !ws.healthy.Load() || ws.draining.Load() {
+		t.Fatalf("probed worker: healthy %v, draining %v, want healthy and not draining",
+			ws.healthy.Load(), ws.draining.Load())
 	}
 }
 

@@ -18,6 +18,9 @@ func f3(op, rd, op3, rs1 uint32, imm bool, rs2OrSimm uint32) uint32 {
 	return w
 }
 
+// isFPReg reports whether r names a floating-point architectural register.
+func isFPReg(r uint8) bool { return r >= FPRegBase && r < NumRegs }
+
 func TestDecodeCall(t *testing.T) {
 	// CALL with displacement +0x40 words.
 	w := uint32(1)<<30 | 0x10
@@ -132,7 +135,7 @@ func TestDecodeFP(t *testing.T) {
 		if d.Class != want {
 			t.Errorf("FPop opf=%#x decoded as %v, want %v", opf, d.Class, want)
 		}
-		if !IsFPReg(d.Rd) || !IsFPReg(d.Rs1) || !IsFPReg(d.Rs2) {
+		if !isFPReg(d.Rd) || !isFPReg(d.Rs1) || !isFPReg(d.Rs2) {
 			t.Errorf("FPop opf=%#x registers not FP: %+v", opf, d)
 		}
 	}
@@ -157,7 +160,7 @@ func TestDecodeMemory(t *testing.T) {
 	}
 	// ldd [%o0], %f2 (FP load).
 	d = Decode(f3(3, 2, op3LDDF, 8, true, 0))
-	if d.Class != Load || !IsFPReg(d.Rd) {
+	if d.Class != Load || !isFPReg(d.Rd) {
 		t.Fatalf("LDDF decoded as %+v", d)
 	}
 	// CASX is an atomic -> Special.

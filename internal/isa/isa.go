@@ -126,8 +126,6 @@ const (
 	RegNone uint8 = 0xFF
 	// G0 is the SPARC %g0 hard-wired zero register: never a dependency.
 	G0 uint8 = 0
-	// IntRegBase is the first integer register identifier.
-	IntRegBase uint8 = 0
 	// NumIntRegs is the number of architectural integer registers modeled.
 	NumIntRegs = 32
 	// FPRegBase is the first floating-point register identifier.
@@ -140,9 +138,6 @@ const (
 
 // IsIntReg reports whether r names an integer architectural register.
 func IsIntReg(r uint8) bool { return r < FPRegBase }
-
-// IsFPReg reports whether r names a floating-point architectural register.
-func IsFPReg(r uint8) bool { return r >= FPRegBase && r < NumRegs }
 
 // LatencyClass captures the base execution latency, in cycles, of each
 // class on the SPARC64 V execution pipelines. These are the "minimum three

@@ -45,14 +45,8 @@ func TestRegisterSpaces(t *testing.T) {
 	if !IsIntReg(G0) || !IsIntReg(31) {
 		t.Error("integer register space misclassified")
 	}
-	if IsIntReg(FPRegBase) {
-		t.Error("FP base classified as int")
-	}
-	if !IsFPReg(32) || !IsFPReg(63) {
-		t.Error("FP register space misclassified")
-	}
-	if IsFPReg(64) || IsFPReg(RegNone) {
-		t.Error("out-of-range register classified as FP")
+	if IsIntReg(FPRegBase) || IsIntReg(RegNone) {
+		t.Error("non-integer register classified as int")
 	}
 }
 

@@ -11,12 +11,8 @@ import "sparc64v/internal/config"
 // Resource is a serially occupied resource (a bus slot, a DRAM bank).
 type Resource struct {
 	nextFree uint64
-	// BusyCycles accumulates total occupancy (utilization reporting).
-	BusyCycles uint64
 	// WaitCycles accumulates queuing delay experienced by requesters.
 	WaitCycles uint64
-	// MaxWait and BigWaits record pathological queueing (diagnostics).
-	MaxWait, BigWaits uint64
 }
 
 // Acquire occupies the resource for busy cycles starting no earlier than
@@ -25,28 +21,16 @@ type Resource struct {
 // implements the low-fidelity model versions.
 func (r *Resource) Acquire(cycle, busy uint64, contend bool) uint64 {
 	if !contend {
-		r.BusyCycles += busy
 		return cycle
 	}
 	start := cycle
 	if r.nextFree > start {
-		w := r.nextFree - start
-		r.WaitCycles += w
-		if w > r.MaxWait {
-			r.MaxWait = w
-		}
-		if w > 100 {
-			r.BigWaits++
-		}
+		r.WaitCycles += r.nextFree - start
 		start = r.nextFree
 	}
 	r.nextFree = start + busy
-	r.BusyCycles += busy
 	return start
 }
-
-// NextFree returns the cycle at which the resource becomes available.
-func (r *Resource) NextFree() uint64 { return r.nextFree }
 
 // channelBytes is the width of one data channel; the configured bus
 // bandwidth is provided by BusBytesPerCycle/channelBytes parallel channels
@@ -61,9 +45,6 @@ type Bus struct {
 	data    []Resource
 	reqBusy uint64
 	contend bool
-	// Stats
-	Requests  uint64
-	DataMoves uint64
 }
 
 // NewBus builds the bus from the memory parameters.
@@ -103,7 +84,6 @@ func pick(rs []Resource) *Resource {
 // Request arbitrates for the address/snoop network at cycle; the returned
 // cycle is when the request has been broadcast.
 func (b *Bus) Request(cycle uint64) uint64 {
-	b.Requests++
 	start := pick(b.req).Acquire(cycle, b.reqBusy, b.contend)
 	return start + b.reqBusy
 }
@@ -111,24 +91,12 @@ func (b *Bus) Request(cycle uint64) uint64 {
 // Transfer moves bytes over one data channel starting no earlier than
 // cycle; the returned cycle is when the last byte arrives.
 func (b *Bus) Transfer(cycle, bytes uint64) uint64 {
-	b.DataMoves++
 	busy := (bytes + channelBytes - 1) / channelBytes
 	if busy == 0 {
 		busy = 1
 	}
 	start := pick(b.data).Acquire(cycle, busy, b.contend)
 	return start + busy
-}
-
-// Utilization returns (request, data) busy cycles for reporting.
-func (b *Bus) Utilization() (reqBusy, dataBusy uint64) {
-	for i := range b.req {
-		reqBusy += b.req[i].BusyCycles
-	}
-	for i := range b.data {
-		dataBusy += b.data[i].BusyCycles
-	}
-	return reqBusy, dataBusy
 }
 
 // WaitCycles returns total queuing delay on both networks.
@@ -151,8 +119,6 @@ type DRAM struct {
 	latency  uint64
 	bankBusy uint64
 	contend  bool
-	// Stats
-	Accesses uint64
 }
 
 // NewDRAM builds memory from the parameters.
@@ -184,7 +150,6 @@ func NewDRAM(p config.MemParams, contend bool) *DRAM {
 // Access reads or writes the line at lineAddr starting no earlier than
 // cycle; the returned cycle is when data is available at the memory pins.
 func (d *DRAM) Access(cycle, lineAddr uint64) uint64 {
-	d.Accesses++
 	bank := &d.banks[lineAddr&d.bankMask]
 	start := bank.Acquire(cycle, d.bankBusy, d.contend)
 	return start + d.latency

@@ -23,11 +23,12 @@ func TestResourceQueuing(t *testing.T) {
 	if s := r.Acquire(12, 5, true); s != 15 {
 		t.Fatalf("queued Acquire start = %d", s)
 	}
-	if r.NextFree() != 20 {
-		t.Fatalf("NextFree = %d", r.NextFree())
-	}
 	if r.WaitCycles != 3 {
 		t.Fatalf("WaitCycles = %d", r.WaitCycles)
+	}
+	// The resource stays busy until 20.
+	if s := r.Acquire(16, 5, true); s != 20 {
+		t.Fatalf("third Acquire start = %d", s)
 	}
 	// Idle gap: no queuing.
 	if s := r.Acquire(100, 5, true); s != 100 {
@@ -75,10 +76,6 @@ func TestBusTransferBandwidth(t *testing.T) {
 	if done := b.Transfer(100, 1); done != 101 {
 		t.Fatalf("1-byte Transfer done = %d", done)
 	}
-	req, data := b.Utilization()
-	if req != 0 || data != 17 {
-		t.Fatalf("Utilization = %d,%d", req, data)
-	}
 	// A wider bus is multiple parallel channels: two 64-byte transfers at
 	// the same cycle complete together.
 	wide := NewBus(config.MemParams{BusBytesPerCycle: 16, BusRequestCycles: 2}, true)
@@ -105,9 +102,6 @@ func TestBusRequest(t *testing.T) {
 	if g := b.Request(0); g != 4 {
 		t.Fatalf("queued Request grant = %d", g)
 	}
-	if b.Requests != 3 {
-		t.Fatalf("Requests = %d", b.Requests)
-	}
 	if b.WaitCycles() == 0 {
 		t.Fatal("queued request recorded no wait")
 	}
@@ -128,9 +122,6 @@ func TestDRAMBanking(t *testing.T) {
 	}
 	if r3 != 200 {
 		t.Fatalf("other-bank access ready = %d", r3)
-	}
-	if d.Accesses != 3 {
-		t.Fatalf("Accesses = %d", d.Accesses)
 	}
 	if d.Latency() != 200 {
 		t.Fatalf("Latency = %d", d.Latency())

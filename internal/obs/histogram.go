@@ -14,9 +14,7 @@ import (
 // boundary's bucket — plus an implicit +Inf overflow bucket. Observation
 // is lock-free (one atomic add per bucket/count, one CAS loop for the
 // float sum), so workers can observe concurrently without serializing;
-// p50/p90/p99 are derived from the bucket counts, and histograms with the
-// same layout merge associatively, so per-worker instances can be summed
-// into one distribution.
+// p50/p90/p99 are derived from the bucket counts.
 type Histogram struct {
 	bounds []float64       // strictly increasing upper bounds, no +Inf
 	counts []atomic.Uint64 // len(bounds)+1; the last is the overflow bucket
@@ -29,7 +27,7 @@ type Histogram struct {
 // this system actually measures — cache hits and HTTP handling land in the
 // microsecond decades, single simulations in 10ms..10s, full studies and
 // drained shutdowns up to two minutes — and the coarse progression keeps a
-// histogram at 23 buckets (cheap to merge and expose) while bounding
+// histogram at 23 buckets (cheap to expose) while bounding
 // quantile interpolation error to the bucket width (~2.5x).
 func DefLatencyBuckets() []float64 {
 	return []float64{
@@ -39,8 +37,7 @@ func DefLatencyBuckets() []float64 {
 	}
 }
 
-// NewHistogram builds a standalone histogram (registry-free: merge
-// scratch, tests). Bounds must be non-empty and strictly increasing;
+// NewHistogram builds a standalone histogram (registry-free: tests). Bounds must be non-empty and strictly increasing;
 // anything else is a programming error and panics.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
@@ -83,9 +80,6 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -165,32 +159,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return snap.Bounds[len(snap.Bounds)-1]
-}
-
-// Merge adds o's observations into h. Both histograms must share the same
-// bucket layout; merging is commutative and associative, which is what
-// lets per-worker histograms fold into one distribution in any order.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merge of %d-bucket histogram into %d-bucket histogram",
-			len(o.bounds), len(h.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("obs: merge with mismatched bucket bound %d: %v vs %v",
-				i, o.bounds[i], h.bounds[i])
-		}
-	}
-	snap := o.Snapshot()
-	for i, c := range snap.Counts {
-		h.counts[i].Add(c)
-	}
-	h.count.Add(snap.Count)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + snap.Sum)
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
 }

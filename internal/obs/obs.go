@@ -224,7 +224,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 // Histogram returns (creating on first use) the histogram series for
 // name+labels. Buckets are fixed at family creation; later calls may pass
 // nil to reuse them. All series of one family share the bucket layout, so
-// they merge and render uniformly.
+// they render uniformly.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	if buckets == nil {
 		buckets = DefLatencyBuckets()

@@ -66,16 +66,6 @@ func hashString(s string) uint64 {
 	return x
 }
 
-// Nodes returns the sorted membership (a copy).
-func (r *Ring) Nodes() []string {
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
-// Primary returns the key's preferred node.
-func (r *Ring) Primary(key string) string { return r.Sequence(key)[0] }
-
 // Sequence returns every node in the key's deterministic preference
 // order — descending HRW score, ties broken by name: the primary first,
 // then the fallback replicas a failover should try. The slice is freshly

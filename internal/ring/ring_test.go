@@ -71,7 +71,7 @@ func TestRemovalRemapsOnlyVictimKeys(t *testing.T) {
 			shrunk := mustNew(t, rest)
 			moved, onVictim := 0, 0
 			for _, k := range keys {
-				before, after := full.Primary(k), shrunk.Primary(k)
+				before, after := full.Sequence(k)[0], shrunk.Sequence(k)[0]
 				if before == nodes[victim] {
 					onVictim++
 					continue
@@ -102,7 +102,7 @@ func TestAdditionRemapsOnlyToNewNode(t *testing.T) {
 		grown := mustNew(t, append(poolNames(pool), "node-new"))
 		moved := 0
 		for _, k := range keys {
-			before, after := small.Primary(k), grown.Primary(k)
+			before, after := small.Sequence(k)[0], grown.Sequence(k)[0]
 			if before == after {
 				continue
 			}
@@ -125,7 +125,7 @@ func TestRendezvousRemapMinimal(t *testing.T) {
 	three := mustNew(t, []string{"a", "b", "c"})
 	two := mustNew(t, []string{"a", "b"})
 	for _, k := range keys {
-		before, after := three.Primary(k), two.Primary(k)
+		before, after := three.Sequence(k)[0], two.Sequence(k)[0]
 		if before != "c" && before != after {
 			t.Fatalf("key %s moved %s -> %s though its node survived", k, before, after)
 		}
@@ -139,7 +139,7 @@ func TestPrimaryDistribution(t *testing.T) {
 	r := mustNew(t, poolNames(pool))
 	counts := map[string]int{}
 	for _, k := range sampleKeys(nKeys, 4) {
-		counts[r.Primary(k)]++
+		counts[r.Sequence(k)[0]]++
 	}
 	mean := nKeys / pool
 	for node, c := range counts {
@@ -153,7 +153,7 @@ func TestPrimaryDistribution(t *testing.T) {
 }
 
 // TestSequenceCoversAllNodesOnce: the failover order visits every node
-// exactly once, starting at the primary.
+// exactly once.
 func TestSequenceCoversAllNodesOnce(t *testing.T) {
 	for pool := 2; pool <= 10; pool++ {
 		r := mustNew(t, poolNames(pool))
@@ -161,9 +161,6 @@ func TestSequenceCoversAllNodesOnce(t *testing.T) {
 			seq := r.Sequence(k)
 			if len(seq) != pool {
 				t.Fatalf("pool %d: sequence has %d entries", pool, len(seq))
-			}
-			if seq[0] != r.Primary(k) {
-				t.Fatalf("pool %d: sequence starts at %s, primary is %s", pool, seq[0], r.Primary(k))
 			}
 			seen := map[string]bool{}
 			for _, n := range seq {
@@ -226,12 +223,12 @@ func TestGoldenAssignments(t *testing.T) {
 		{"key-15", "n0", "n0"},
 	}
 	for _, g := range golden {
-		if got := fivePool.Primary(g.key); got != g.five {
-			t.Errorf("5-node pool: Primary(%s) = %s, want %s (placement drifted across versions)",
+		if got := fivePool.Sequence(g.key)[0]; got != g.five {
+			t.Errorf("5-node pool: primary(%s) = %s, want %s (placement drifted across versions)",
 				g.key, got, g.five)
 		}
-		if got := threePool.Primary(g.key); got != g.three {
-			t.Errorf("3-node pool: Primary(%s) = %s, want %s (placement drifted across versions)",
+		if got := threePool.Sequence(g.key)[0]; got != g.three {
+			t.Errorf("3-node pool: primary(%s) = %s, want %s (placement drifted across versions)",
 				g.key, got, g.three)
 		}
 	}

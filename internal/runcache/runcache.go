@@ -6,7 +6,7 @@
 // verification; most of those runs repeat earlier ones exactly. A run here
 // is fully determined by (configuration, workload, seed, trace length,
 // model version), so its result can be addressed by a canonical hash of
-// that tuple (internal/config's Canonical()/Hash() layer) and served from a
+// that tuple (internal/config's CanonicalJSON/HashJSON layer) and served from a
 // cache instead of re-simulated.
 //
 // The cache is two-tiered: a bounded in-memory LRU for hot entries, and an

@@ -178,7 +178,7 @@ func TestEstimateLatencyP99(t *testing.T) {
 	}
 	hist := reg.Histogram("sparc64v_http_request_seconds", "", nil,
 		obs.L("endpoint", "estimate"), obs.L("code", "200"))
-	if got := hist.Count(); got != n {
+	if got := hist.Snapshot().Count; got != n {
 		t.Fatalf("histogram observed %d requests, want %d", got, n)
 	}
 	if p99 := hist.Quantile(0.99); p99 >= 0.001 {

@@ -105,10 +105,10 @@ func TestLoadBurstMetrics(t *testing.T) {
 	shedCount := reg.Counter("sparc64v_http_responses_total", "",
 		obs.L("endpoint", "run"), obs.L("code", "429"))
 	deadline = time.Now().Add(5 * time.Second)
-	for !(okHist.Count() == uint64(accepted) && shedCount.Value() == uint64(shed)) {
+	for !(okHist.Snapshot().Count == uint64(accepted) && shedCount.Value() == uint64(shed)) {
 		if time.Now().After(deadline) {
 			t.Fatalf("request metrics never settled: histogram 200s = %d (want %d), responses 429s = %d (want %d)",
-				okHist.Count(), accepted, shedCount.Value(), shed)
+				okHist.Snapshot().Count, accepted, shedCount.Value(), shed)
 		}
 		time.Sleep(time.Millisecond)
 	}

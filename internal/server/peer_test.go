@@ -195,8 +195,8 @@ func TestDrainSheds(t *testing.T) {
 	}
 
 	s.DrainStarted()
-	if !s.Draining() {
-		t.Fatal("Draining() false after DrainStarted")
+	if !s.draining.Load() {
+		t.Fatal("draining false after DrainStarted")
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -263,9 +263,6 @@ func (s *Server) DrainStarted() {
 	s.drains.Inc()
 }
 
-// Draining reports whether a graceful shutdown has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // admit reserves capacity for one simulation. It returns ErrOverloaded
 // immediately when the queue is full, otherwise blocks until a worker slot
 // frees (or ctx is cancelled). The returned release frees both.

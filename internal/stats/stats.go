@@ -18,9 +18,6 @@ func Ratio(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-// Percent returns 100*a/b, or 0 when b is zero.
-func Percent(a, b uint64) float64 { return 100 * Ratio(a, b) }
-
 // PercentDelta returns the relative difference of x from base, in percent:
 // 100*(x-base)/base. It is how the paper expresses all of its IPC ratios.
 func PercentDelta(x, base float64) float64 {
@@ -209,22 +206,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, the conventional aggregate for
-// SPEC-style performance ratios. Non-positive inputs yield 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // MaxAbs returns the maximum absolute value in xs (0 for empty input).

@@ -14,9 +14,6 @@ func TestRatioPercent(t *testing.T) {
 	if got := Ratio(3, 4); got != 0.75 {
 		t.Errorf("Ratio(3,4) = %v", got)
 	}
-	if got := Percent(1, 4); got != 25 {
-		t.Errorf("Percent(1,4) = %v", got)
-	}
 	if got := PercentDelta(90, 100); got != -10 {
 		t.Errorf("PercentDelta(90,100) = %v", got)
 	}
@@ -107,17 +104,11 @@ func TestTableCellFormats(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty means must be 0")
+	if Mean(nil) != 0 {
+		t.Error("empty mean must be 0")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with non-positive input must be 0")
 	}
 	if got := MaxAbs([]float64{-3, 2}); got != 3 {
 		t.Errorf("MaxAbs = %v", got)

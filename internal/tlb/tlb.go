@@ -31,7 +31,6 @@ type TLB struct {
 	pageShift uint
 	penalty   int
 	tick      uint64
-	nentries  int
 	// Stats
 	Accesses uint64
 	Misses   uint64
@@ -68,12 +67,8 @@ func New(g config.TLBGeometry) *TLB {
 		setMask:   uint64(nsets - 1),
 		pageShift: shift,
 		penalty:   g.MissPenalty,
-		nentries:  nsets * ways,
 	}
 }
-
-// Penalty returns the refill cost in cycles.
-func (t *TLB) Penalty() int { return t.penalty }
 
 // Access translates addr, returning the extra latency this access pays
 // (0 on a hit, the refill penalty on a miss). The missing translation is
@@ -108,16 +103,4 @@ func (t *TLB) MissRate() float64 {
 		return 0
 	}
 	return float64(t.Misses) / float64(t.Accesses)
-}
-
-// Reach returns the bytes mapped when the TLB is full.
-func (t *TLB) Reach() uint64 { return uint64(t.nentries) << t.pageShift }
-
-// Flush invalidates all entries (context switch modeling).
-func (t *TLB) Flush() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
 }

@@ -71,21 +71,6 @@ func TestWorkingSetBehavior(t *testing.T) {
 	}
 }
 
-func TestReachAndFlush(t *testing.T) {
-	tl := New(geo(128))
-	if tl.Reach() != 128*8<<10 {
-		t.Fatalf("Reach = %d", tl.Reach())
-	}
-	tl.Access(0x1234)
-	tl.Flush()
-	if p := tl.Access(0x1234); p == 0 {
-		t.Error("flushed entry still hits")
-	}
-	if tl.Penalty() != 40 {
-		t.Errorf("Penalty = %d", tl.Penalty())
-	}
-}
-
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -59,10 +59,6 @@ func NewFanout(src Source, depth, consumers int) *Fanout {
 // cursor; calling Cursor twice for the same index returns the same handle.
 func (f *Fanout) Cursor(i int) *Cursor { return &f.cursors[i] }
 
-// Depth returns the ring capacity in records — the maximum drift between
-// the fastest and slowest open cursor.
-func (f *Fanout) Depth() int { return len(f.buf) }
-
 // EOF reports whether the master source is exhausted. Cursors with
 // buffered records keep serving them; once a cursor catches up, its Next
 // reports end-of-stream.

@@ -70,7 +70,7 @@ func TestFanoutAllCursorsSeeFullStream(t *testing.T) {
 func TestFanoutBackPressure(t *testing.T) {
 	recs := fanoutRecs(500)
 	f := NewFanout(NewSliceSource(recs), 64, 2)
-	depth := f.Depth()
+	depth := len(f.buf)
 
 	fast, slow := f.Cursor(0), f.Cursor(1)
 	var r Record
@@ -122,7 +122,7 @@ func TestFanoutOverrunPanics(t *testing.T) {
 	f := NewFanout(NewSliceSource(fanoutRecs(500)), 64, 2)
 	c := f.Cursor(0)
 	var r Record
-	for i := 0; i <= f.Depth(); i++ { // one past the bound; cursor 1 pins pos 0
+	for i := 0; i <= len(f.buf); i++ { // one past the bound; cursor 1 pins pos 0
 		c.Next(&r)
 	}
 }
@@ -132,7 +132,7 @@ func TestFanoutStarvedCountsRoom(t *testing.T) {
 	f := NewFanout(NewSliceSource(fanoutRecs(200)), 64, 2)
 	c := f.Cursor(0)
 	// Nothing buffered yet, but the whole ring is available to pull into.
-	if c.Starved(f.Depth()) {
+	if c.Starved(len(f.buf)) {
 		t.Fatal("cursor starved with an empty ring and live master")
 	}
 	if c.Starved(1) {
@@ -177,7 +177,7 @@ func TestFanoutFillMatchesOnDemand(t *testing.T) {
 func TestFanoutBuffered(t *testing.T) {
 	f := NewFanout(NewSliceSource(fanoutRecs(100)), 64, 2)
 	f.Fill()
-	depth := f.Depth()
+	depth := len(f.buf)
 	if got := f.Cursor(0).Buffered(); got != depth {
 		t.Fatalf("Buffered() = %d after Fill, want %d", got, depth)
 	}
@@ -197,7 +197,7 @@ func TestFanoutDepthRounding(t *testing.T) {
 	for _, tc := range []struct{ depth, want int }{
 		{0, 64}, {1, 64}, {64, 64}, {65, 128}, {1000, 1024},
 	} {
-		if got := NewFanout(NewSliceSource(nil), tc.depth, 1).Depth(); got != tc.want {
+		if got := len(NewFanout(NewSliceSource(nil), tc.depth, 1).buf); got != tc.want {
 			t.Errorf("NewFanout depth %d -> %d, want %d", tc.depth, got, tc.want)
 		}
 	}

@@ -55,8 +55,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 
 // NewWriterCount writes the trace header with a known record count
 // (0 = unknown) and returns a Writer. The count is advisory: the stream
-// still ends at EOF, but readers can size buffers or sanity-check against
-// Reader.HeaderCount.
+// still ends at EOF, and NewReader checks that the count is a well-formed
+// varint but does not use it.
 func NewWriterCount(w io.Writer, count uint64) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(Magic); err != nil {
@@ -137,11 +137,10 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader decodes a trace stream produced by Writer. It implements Source.
 type Reader struct {
-	r         *bufio.Reader
-	prevPC    uint64
-	prevEA    uint64
-	headCount uint64
-	err       error
+	r      *bufio.Reader
+	prevPC uint64
+	prevEA uint64
+	err    error
 	// verify runs once at clean EOF to validate the transport framing —
 	// for gzip streams, that the decompressor reached its trailer and the
 	// CRC32/length checks passed. Without it a truncated .gz whose deflate
@@ -160,16 +159,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(hdr) != Magic {
 		return nil, ErrBadMagic
 	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
+	if _, err := binary.ReadUvarint(br); err != nil {
 		return nil, fmt.Errorf("trace: reading header count: %w", err)
 	}
-	return &Reader{r: br, headCount: count}, nil
+	return &Reader{r: br}, nil
 }
-
-// HeaderCount returns the record count declared by the stream header
-// (0 = unknown; see NewWriterCount).
-func (rd *Reader) HeaderCount() uint64 { return rd.headCount }
 
 // Err returns the first decoding error encountered, if any. io.EOF at a
 // record boundary is normal termination and is not reported.

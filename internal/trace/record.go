@@ -123,12 +123,6 @@ func (s *SliceSource) Next(r *Record) bool {
 	return true
 }
 
-// Reset rewinds the source to the beginning of the slice.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of records in the underlying slice.
-func (s *SliceSource) Len() int { return len(s.recs) }
-
 // Collect drains up to max records from src (all records if max <= 0).
 func Collect(src Source, max int) []Record {
 	var out []Record

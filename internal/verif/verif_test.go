@@ -141,7 +141,9 @@ func TestModelTimingMatchesReplay(t *testing.T) {
 
 func TestReferenceModelBasics(t *testing.T) {
 	rf := NewReference(config.Base())
-	rf.Run(trace.NewLimitSource(workload.New(workload.SPECint95(), 2, 0), 50000))
+	if err := rf.RunContext(context.Background(), trace.NewLimitSource(workload.New(workload.SPECint95(), 2, 0), 50000)); err != nil {
+		t.Fatal(err)
+	}
 	cpi := rf.CPI()
 	if cpi < 1 || cpi > 50 {
 		t.Fatalf("reference CPI = %.2f implausible", cpi)

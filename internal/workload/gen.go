@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -133,12 +132,6 @@ func NewMP(p Profile, seed int64, n int) []*Gen {
 	}
 	return gens
 }
-
-// Name returns the profile name.
-func (g *Gen) Name() string { return g.prof.Name }
-
-// Emitted returns the number of records produced so far.
-func (g *Gen) Emitted() uint64 { return g.emitted }
 
 func (g *Gen) buildRegions() {
 	regs := g.prof.Regions
@@ -609,12 +602,4 @@ func (g *Gen) newFPDst() uint8 {
 	g.recentFP[g.rfPos%len(g.recentFP)] = r
 	g.rfPos++
 	return r
-}
-
-// Describe summarizes the static program: profile, function and block
-// counts, code size and data regions.
-func (g *Gen) Describe() string {
-	return fmt.Sprintf("%s: funcs=%d blocks=%d code=%dKB regions=%d",
-		g.prof.Name, len(g.funcs), len(g.blocks), g.prof.CodeBytes()>>10,
-		len(g.regions))
 }

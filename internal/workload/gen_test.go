@@ -54,8 +54,8 @@ func TestRecordsValid(t *testing.T) {
 				t.Fatalf("%s record %d: %v (%+v)", p.Name, i, err, r)
 			}
 		}
-		if g.Emitted() != 20000 {
-			t.Errorf("%s: Emitted = %d", p.Name, g.Emitted())
+		if g.emitted != 20000 {
+			t.Errorf("%s: emitted = %d", p.Name, g.emitted)
 		}
 	}
 }
@@ -141,8 +141,11 @@ func TestControlFlowConsistency(t *testing.T) {
 // distinct-PC working set must actually show up in the trace.
 func TestCodeFootprints(t *testing.T) {
 	tp, si := TPCC(), SPECint95()
-	if tp.CodeBytes() < 16*si.CodeBytes() {
-		t.Errorf("TPC-C code %d not ≫ SPECint95 code %d", tp.CodeBytes(), si.CodeBytes())
+	codeBytes := func(p Profile) int {
+		return p.NumFuncs * p.BlocksPerFunc * p.BlockLen * isa.InstrBytes
+	}
+	if codeBytes(tp) < 16*codeBytes(si) {
+		t.Errorf("TPC-C code %d not ≫ SPECint95 code %d", codeBytes(tp), codeBytes(si))
 	}
 	g := New(tp, 5, 0)
 	recs := drain(g, 300000)
@@ -282,13 +285,6 @@ func TestTakenBranchTargets(t *testing.T) {
 		if r.Op.IsBranch() && r.Taken && r.EA == 0 {
 			t.Fatalf("record %d: taken branch with zero target", i)
 		}
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	g := New(SPECfp95(), 1, 0)
-	if s := g.Describe(); s == "" {
-		t.Error("empty Describe")
 	}
 }
 

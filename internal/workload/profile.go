@@ -140,11 +140,6 @@ type Profile struct {
 	SharedStoreFr float64
 }
 
-// CodeBytes returns the approximate static code footprint.
-func (p *Profile) CodeBytes() int {
-	return p.NumFuncs * p.BlocksPerFunc * p.BlockLen * isa.InstrBytes
-}
-
 // SPECint95 models the CPU95 integer suite: small code and data footprints
 // that largely fit the caches, short blocks, and a large share of
 // data-dependent branches (the paper: ~30% of time lost to mispredicts,
@@ -317,30 +312,39 @@ func UPProfiles() []Profile {
 	return []Profile{SPECint95(), SPECfp95(), SPECint2000(), SPECfp2000(), TPCC()}
 }
 
+// named is the one table of workloads by canonical lowercase name, in the
+// order Names lists them: ByName and Names both read it.
+var named = []struct {
+	name    string
+	profile func() Profile
+}{
+	{"specint95", SPECint95},
+	{"specfp95", SPECfp95},
+	{"specint2000", SPECint2000},
+	{"specfp2000", SPECfp2000},
+	{"tpcc", TPCC},
+	{"tpcc16p", TPCC16P},
+	{"hpc", HPC},
+}
+
 // ByName resolves a workload by its canonical lowercase name. It is the
 // single lookup shared by the CLI tools and the experiment server, so the
 // name accepted on the command line and in POST /v1/run bodies is the same.
 func ByName(name string) (Profile, bool) {
-	switch strings.ToLower(name) {
-	case "specint95":
-		return SPECint95(), true
-	case "specfp95":
-		return SPECfp95(), true
-	case "specint2000":
-		return SPECint2000(), true
-	case "specfp2000":
-		return SPECfp2000(), true
-	case "tpcc":
-		return TPCC(), true
-	case "tpcc16p":
-		return TPCC16P(), true
-	case "hpc":
-		return HPC(), true
+	name = strings.ToLower(name)
+	for _, w := range named {
+		if w.name == name {
+			return w.profile(), true
+		}
 	}
 	return Profile{}, false
 }
 
 // Names lists the workloads ByName resolves, for error messages and docs.
 func Names() []string {
-	return []string{"specint95", "specfp95", "specint2000", "specfp2000", "tpcc", "tpcc16p", "hpc"}
+	names := make([]string, len(named))
+	for i, w := range named {
+		names[i] = w.name
+	}
+	return names
 }
