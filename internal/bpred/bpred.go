@@ -11,7 +11,6 @@
 package bpred
 
 import (
-	"fmt"
 	"math/bits"
 
 	"sparc64v/internal/config"
@@ -170,21 +169,6 @@ func (s *Stats) Branches() uint64 { return s.CondBranches + s.Calls + s.Returns 
 
 // Mispredicts returns total mispredictions.
 func (s *Stats) Mispredicts() uint64 { return s.CondMispredicts + s.ReturnMispredicts }
-
-// FailureRate returns the paper's "branch prediction failure" metric:
-// mispredictions per predicted branch.
-func (s *Stats) FailureRate() float64 {
-	b := s.Branches()
-	if b == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts()) / float64(b)
-}
-
-func (s *Stats) String() string {
-	return fmt.Sprintf("branches=%d mispredicts=%d (%.2f%%)",
-		s.Branches(), s.Mispredicts(), 100*s.FailureRate())
-}
 
 // Outcome is the front end's view of one predicted control transfer.
 type Outcome struct {

@@ -34,23 +34,6 @@ const (
 	Modified
 )
 
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Owned:
-		return "O"
-	case Modified:
-		return "M"
-	}
-	return "?"
-}
-
 // Dirty reports whether the state requires a writeback on eviction.
 func (s State) Dirty() bool { return s == Owned || s == Modified }
 

@@ -29,12 +29,6 @@ func TestStateHelpers(t *testing.T) {
 	if !Exclusive.Writable() || !Modified.Writable() {
 		t.Error("writable state reported non-writable")
 	}
-	names := map[State]string{Invalid: "I", Shared: "S", Exclusive: "E", Owned: "O", Modified: "M"}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("State(%d).String() = %q", s, s.String())
-		}
-	}
 }
 
 func TestBasicHitMiss(t *testing.T) {

@@ -178,7 +178,7 @@ func (r *fullRun) actions(context.Context) iter.Seq[demand] {
 			if r.endSim == nil {
 				r.endSim = r.sp.Phase(obs.PhaseSim)
 			}
-			done, capped := r.sys.Step(r.stride(), r.opt.MaxCycles)
+			done, capped := r.sys.Step(r.stride(), r.opt.maxCycles())
 			r.capped = capped
 			if r.batched {
 				r.closeSim()
@@ -216,7 +216,7 @@ func (m *Model) runErr(label string, opt RunOptions, cerr error, capped bool) er
 		return fmt.Errorf("core: %s/%s cancelled: %w", m.cfg.Name, label, cerr)
 	}
 	if capped {
-		return fmt.Errorf("core: %s/%s hit the %d-cycle cap", m.cfg.Name, label, opt.MaxCycles)
+		return fmt.Errorf("core: %s/%s hit the %d-cycle cap", m.cfg.Name, label, opt.maxCycles())
 	}
 	return nil
 }
@@ -525,9 +525,9 @@ func lockstep(ctxs []context.Context, models []*Model, p workload.Profile, opt R
 
 // BatchKey returns the grouping key under which runs may share one decoded
 // trace stream: everything that determines the trace and the lockstep
-// schedule — profile, CPU count, seed, length, warmup, cap, sampling —
-// excluding the machine configuration itself, which is exactly what varies
-// across a batch. RunJobs groups jobs by this key.
+// schedule — profile, CPU count, seed, length (which sets the cycle cap),
+// warmup, sampling — excluding the machine configuration itself, which is
+// exactly what varies across a batch. RunJobs groups jobs by this key.
 func BatchKey(cfg config.Config, p workload.Profile, opt RunOptions) (string, error) {
 	opt.defaults()
 	ph, err := config.HashJSON(p)
@@ -542,8 +542,8 @@ func BatchKey(cfg config.Config, p workload.Profile, opt RunOptions) (string, er
 		}
 		sj = string(b)
 	}
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%d\x00%d\x00%s",
-		ph, cfg.CPUs, opt.Seed, opt.Insts, opt.Warmup, opt.MaxCycles, sj), nil
+	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%d\x00%s",
+		ph, cfg.CPUs, opt.Seed, opt.Insts, opt.Warmup, sj), nil
 }
 
 // RunBatch simulates every configuration in cfgs against the profile's

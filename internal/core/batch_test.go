@@ -396,7 +396,7 @@ func TestStepMatchesRunContext(t *testing.T) {
 	}
 	chunks := []int{1, 3, 17, 256, 1000}
 	for i := 0; ; i++ {
-		done, capped := sys.Step(chunks[i%len(chunks)], opt.MaxCycles)
+		done, capped := sys.Step(chunks[i%len(chunks)], opt.maxCycles())
 		if capped {
 			t.Fatal("stepped run hit the cycle cap")
 		}

@@ -47,9 +47,6 @@ type RunOptions struct {
 	// Seed selects the synthetic trace (the paper samples several trace
 	// windows; different seeds play that role).
 	Seed int64
-	// MaxCycles caps the run as a hang guard; 0 derives a generous cap
-	// from Insts.
-	MaxCycles uint64
 	// Warmup is the per-CPU committed-instruction count excluded from
 	// statistics (cache/BHT warmup, mirroring the paper's steady-state
 	// trace capture); 0 means Insts/5.
@@ -97,13 +94,14 @@ func (o *RunOptions) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = uint64(o.Insts)*400 + 10_000_000
-	}
 	if o.Warmup == 0 {
 		o.Warmup = uint64(o.Insts / 5)
 	}
 }
+
+// maxCycles is the run's cycle cap: a hang guard that no healthy run of
+// Insts instructions per CPU comes near.
+func (o *RunOptions) maxCycles() uint64 { return uint64(o.Insts)*400 + 10_000_000 }
 
 // RunContext simulates the profile on this model. For multiprocessor
 // configurations one trace per CPU is generated (sharing the profile's

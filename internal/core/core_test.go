@@ -300,7 +300,7 @@ func TestRunSourcesMatchesBareSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, capped, err := sys.RunContext(context.Background(), opt.MaxCycles)
+		_, capped, err := sys.RunContext(context.Background(), opt.maxCycles())
 		if err != nil {
 			t.Fatal(err)
 		}

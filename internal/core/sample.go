@@ -12,11 +12,11 @@ package core
 //	measurement       the out-of-order model runs and the window's counter
 //	                  deltas accumulate into the final Report.
 //
-// Measurement is snapshot-based: counters are read before and after each
-// window and the difference accumulated, so warm-up and fast-forward
-// pollution of shared counters never leaks into results. The headline CPI
-// is the ratio estimator Σcycles/Σcommitted over all windows; the
-// per-window CPI spread yields the reported confidence bound.
+// Measurement reads the machine's counter set (system.Counters) before and
+// after each window and accumulates the difference, so warm-up and
+// fast-forward pollution of shared counters never leaks into results. The
+// headline CPI is the ratio estimator Σcycles/Σcommitted over all windows;
+// the per-window CPI spread yields the reported confidence bound.
 //
 // A sampled run is a member of the run engine (batch.go): its actions are
 // the schedule loop written out — fast-forward the warm-up, then warm
@@ -33,11 +33,7 @@ import (
 	"context"
 	"iter"
 	"math"
-	"reflect"
 
-	"sparc64v/internal/bpred"
-	"sparc64v/internal/cache"
-	"sparc64v/internal/coherence"
 	"sparc64v/internal/config"
 	"sparc64v/internal/cpu"
 	"sparc64v/internal/obs"
@@ -69,96 +65,18 @@ func (g *sampleGate) Next(r *trace.Record) bool {
 	return true
 }
 
-// cpuSnap is one CPU's counter snapshot (core, predictor, caches, TLBs).
-type cpuSnap struct {
-	Core              cpu.Stats
-	Branch            bpred.Stats
-	L1I, L1D, L2      cache.Stats
-	ITLBAcc, ITLBMiss uint64
-	DTLBAcc, DTLBMiss uint64
-}
-
-// sysSnap is a whole-machine counter snapshot. Every leaf is a monotonic
-// counter, so a window's activity is the leaf-wise difference of the
-// snapshots around it, and a run's measured activity the leaf-wise sum of
-// its windows.
-type sysSnap struct {
-	CPUs              []cpuSnap
-	Coh               coherence.Stats
-	BusWait, DRAMWait uint64
-}
-
-func snapshot(sys *system.System, ncpu int) sysSnap {
-	s := sysSnap{CPUs: make([]cpuSnap, ncpu)}
-	for i := 0; i < ncpu; i++ {
-		c, chip := sys.CPU(i), sys.Chip(i)
-		cs := &s.CPUs[i]
-		cs.Core = c.Stats
-		if p := c.Predictor(); p != nil {
-			cs.Branch = p.Stats
-		}
-		cs.L1I, cs.L1D, cs.L2 = chip.L1I.Stats, chip.L1D.Stats, chip.L2.Stats
-		cs.ITLBAcc, cs.ITLBMiss = chip.ITLB.Accesses, chip.ITLB.Misses
-		cs.DTLBAcc, cs.DTLBMiss = chip.DTLB.Accesses, chip.DTLB.Misses
-	}
-	s.Coh = sys.Controller().Stats
-	s.BusWait = sys.Bus().WaitCycles()
-	s.DRAMWait = sys.DRAM().WaitCycles()
-	return s
-}
-
-// add adds o's counters into s, leaf by leaf.
-func (s *sysSnap) add(o sysSnap) {
-	walkCounters(reflect.ValueOf(s).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 { return a + b })
-}
-
-// sub subtracts o's counters from s, leaf by leaf (o is an earlier
-// snapshot of the same machine).
-func (s *sysSnap) sub(o sysSnap) {
-	walkCounters(reflect.ValueOf(s).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 { return a - b })
-}
-
-// walkCounters sets every uint64 leaf of dst to f(leaf, the same leaf of
-// src), descending through structs, arrays and slices. Any other kind
-// cannot be a counter, so it panics rather than drop the field from the
-// arithmetic.
-func walkCounters(dst, src reflect.Value, f func(a, b uint64) uint64) {
-	switch dst.Kind() {
-	case reflect.Uint64:
-		dst.SetUint(f(dst.Uint(), src.Uint()))
-	case reflect.Struct:
-		for i := range dst.NumField() {
-			walkCounters(dst.Field(i), src.Field(i), f)
-		}
-	case reflect.Array, reflect.Slice:
-		for i := range dst.Len() {
-			walkCounters(dst.Index(i), src.Index(i), f)
-		}
-	default:
-		panic("core: counter snapshot field " + dst.Type().String() + " is not a counter")
-	}
-}
-
-// committed sums committed instructions across CPUs.
-func (s sysSnap) committed() uint64 {
-	var n uint64
-	for i := range s.CPUs {
-		n += s.CPUs[i].Core.Committed
-	}
-	return n
-}
-
-// cpi returns aggregate cycles per committed instruction.
-func (s sysSnap) cpi() float64 {
+// aggregateCPI returns k's cycles per committed instruction summed over
+// CPUs, and false when k committed nothing.
+func aggregateCPI(k *system.Counters) (float64, bool) {
 	var cyc, com uint64
-	for i := range s.CPUs {
-		cyc += s.CPUs[i].Core.Cycles
-		com += s.CPUs[i].Core.Committed
+	for i := range k.CPUs {
+		cyc += k.CPUs[i].Core.Cycles
+		com += k.CPUs[i].Core.Committed
 	}
 	if com == 0 {
-		return 0
+		return 0, false
 	}
-	return float64(cyc) / float64(com)
+	return float64(cyc) / float64(com), true
 }
 
 // ffChunk bounds one fast-forward action (records on one CPU). The chunk
@@ -184,7 +102,7 @@ type sampledRun struct {
 	simErr error
 	capped bool
 
-	acc            sysSnap
+	acc            system.Counters
 	windows        []float64
 	measuredCycles uint64
 }
@@ -199,7 +117,7 @@ func newSampledRun(m *Model, label string, srcs []trace.Source, opt RunOptions, 
 	r := &sampledRun{m: m, label: label, opt: opt, sc: sc, sp: sp}
 	cfg := m.cfg
 	// The per-window detailed warm-up replaces the warm-up reset; a
-	// mid-run resetMeasurement would corrupt snapshot deltas.
+	// mid-run resetMeasurement would corrupt the window deltas.
 	cfg.WarmupInsts = 0
 	endBuild := r.sp.Phase(obs.PhaseBuild)
 	r.gates = make([]*sampleGate, len(srcs))
@@ -220,7 +138,7 @@ func newSampledRun(m *Model, label string, srcs []trace.Source, opt RunOptions, 
 		r.ffs[i] = cpu.NewFastForward(sys.CPU(i))
 	}
 	endBuild()
-	r.acc = sysSnap{CPUs: make([]cpuSnap, r.ncpu)}
+	r.acc = system.Counters{CPUs: make([]cpu.Counters, r.ncpu)}
 	return r, nil
 }
 
@@ -271,16 +189,16 @@ func (r *sampledRun) actions(ctx context.Context) iter.Seq[demand] {
 			if !window(r.sc.WarmupInsts) {
 				return
 			}
-			pre, preCyc := snapshot(r.sys, r.ncpu), r.sys.Cycle()
+			pre, preCyc := r.sys.Counters(), r.sys.Cycle()
 			if r.simErr != nil || !window(r.sc.MeasureInsts) {
 				return
 			}
-			d := snapshot(r.sys, r.ncpu)
-			d.sub(pre)
-			if d.committed() > 0 {
-				r.acc.add(d)
+			d := r.sys.Counters()
+			d.Sub(pre)
+			if cpi, ok := aggregateCPI(&d); ok {
+				r.acc.Add(d)
 				r.measuredCycles += r.sys.Cycle() - preCyc
-				r.windows = append(r.windows, d.cpi())
+				r.windows = append(r.windows, cpi)
 			}
 			if r.simErr != nil || !ff(gap) {
 				return
@@ -333,7 +251,7 @@ func (r *sampledRun) runWindow(ctx context.Context, n int) {
 		return
 	}
 	end := r.sp.Phase(obs.PhaseSim)
-	_, c, err := r.sys.RunContext(ctx, r.opt.MaxCycles)
+	_, c, err := r.sys.RunContext(ctx, r.opt.maxCycles())
 	end()
 	if err != nil {
 		r.simErr = err
@@ -358,40 +276,26 @@ func (r *sampledRun) finish(cerr error) (system.Report, error) {
 	// Degenerate schedules (trace shorter than one warm-up window, window
 	// longer than the trace): no measurement window completed any commits,
 	// so fall back to everything the detailed model did simulate: the live
-	// snapshot, since a freshly built machine's counters are all zero.
+	// counters, since a freshly built machine's counters are all zero.
 	if len(r.windows) == 0 {
-		r.acc = snapshot(r.sys, ncpu)
+		r.acc = r.sys.Counters()
 		r.measuredCycles = r.sys.Cycle()
-		if r.acc.committed() > 0 {
-			r.windows = append(r.windows, r.acc.cpi())
+		if cpi, ok := aggregateCPI(&r.acc); ok {
+			r.windows = append(r.windows, cpi)
 		}
 	}
 
 	endReport := r.sp.Phase(obs.PhaseReport)
-	rep := system.Report{Name: r.m.cfg.Name, Workload: r.label, Cycles: r.measuredCycles, HitCap: r.capped}
-	var measCycles uint64
-	for i := 0; i < ncpu; i++ {
-		cs := &r.acc.CPUs[i]
-		rep.CPUs = append(rep.CPUs, system.CPUReport{
-			Core:         cs.Core,
-			Branch:       cs.Branch,
-			L1I:          cs.L1I,
-			L1D:          cs.L1D,
-			L2:           cs.L2,
-			ITLBMissRate: stats.Ratio(cs.ITLBMiss, cs.ITLBAcc),
-			DTLBMissRate: stats.Ratio(cs.DTLBMiss, cs.DTLBAcc),
-		})
-		rep.Committed += cs.Core.Committed
-		measCycles += cs.Core.Cycles
-	}
-	rep.Coherence = r.acc.Coh
-	rep.BusWaitCycles = r.acc.BusWait
-	rep.DRAMWaitCycles = r.acc.DRAMWait
+	rep := r.acc.Report(r.m.cfg.Name, r.label, r.measuredCycles)
+	rep.HitCap = r.capped
 
 	var ffInsts, detInsts uint64
 	for i := 0; i < ncpu; i++ {
 		ffInsts += r.ffs[i].Insts
 		detInsts += r.sys.CPU(i).Stats.Committed
+		// Sampled Reports do not count TLB stall cycles yet: counting them
+		// changes results, so it waits for the next ModelVersion bump.
+		rep.CPUs[i].TLBStallCycles = 0
 	}
 	info := &system.SamplingInfo{
 		Interval:       sc.IntervalInsts,
@@ -417,8 +321,7 @@ func (r *sampledRun) finish(cerr error) (system.Report, error) {
 		}
 	}
 	sanitizeSampling(info)
-	if rep.Committed > 0 {
-		cpi := float64(measCycles) / float64(rep.Committed)
+	if cpi, ok := aggregateCPI(&r.acc); ok {
 		perCPU := float64(ffInsts+detInsts) / float64(ncpu)
 		info.EstimatedCycles = uint64(cpi*perCPU + 0.5)
 	}

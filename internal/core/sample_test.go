@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -406,72 +405,4 @@ func TestSanitizeSampling(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
 	}
-}
-
-// TestCounterSnapshotArithmetic pins the leaf-wise walk behind window
-// deltas: add and sub are inverses on every counter, a snapshot minus
-// itself is zero, a freshly built machine snapshots to zero (which is what
-// lets a run without windows report its live counters), and a field that
-// is not a counter panics instead of dropping out of the arithmetic.
-func TestCounterSnapshotArithmetic(t *testing.T) {
-	const ncpu = 3
-	var n uint64
-	fill := func() sysSnap {
-		s := sysSnap{CPUs: make([]cpuSnap, ncpu)}
-		v := reflect.ValueOf(&s).Elem()
-		walkCounters(v, v, func(uint64, uint64) uint64 { n++; return n * 1_000_003 })
-		return s
-	}
-	clone := func(s sysSnap) sysSnap {
-		s.CPUs = append([]cpuSnap(nil), s.CPUs...)
-		return s
-	}
-	a, b := fill(), fill()
-	a0 := clone(a)
-	a.add(b)
-	if got, want := a.CPUs[2].Core.CommittedByClass[1], a0.CPUs[2].Core.CommittedByClass[1]+b.CPUs[2].Core.CommittedByClass[1]; got != want {
-		t.Errorf("add: array leaf = %d, want %d", got, want)
-	}
-	if got, want := a.DRAMWait, a0.DRAMWait+b.DRAMWait; got != want {
-		t.Errorf("add: top-level leaf = %d, want %d", got, want)
-	}
-	a.sub(b)
-	if !reflect.DeepEqual(a, a0) {
-		t.Error("a.add(b); a.sub(b) does not restore a")
-	}
-	a.sub(a)
-	if zero := (sysSnap{CPUs: make([]cpuSnap, ncpu)}); !reflect.DeepEqual(a, zero) {
-		t.Error("s.sub(s) is not all zero")
-	}
-
-	opt := RunOptions{Insts: 20_000, Sample: sampleSchedule()}
-	opt.defaults()
-	for _, cfg := range []config.Config{
-		config.Base(), config.Base().WithCPUs(4), config.Base().WithSmallL1(), config.Base().WithOffChipL2(2),
-	} {
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mb, err := m.start("fresh", profileSources(workload.TPCC16P(), opt, cfg.CPUs), opt, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := snapshot(mb.(*sampledRun).sys, cfg.CPUs)
-		if zero := (sysSnap{CPUs: make([]cpuSnap, cfg.CPUs)}); !reflect.DeepEqual(s, zero) {
-			t.Errorf("%s: fresh machine's snapshot is not zero: %+v", cfg.Name, s)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("walk over a non-counter field did not panic")
-		}
-	}()
-	var bad struct {
-		N   uint64
-		CPI float64
-	}
-	v := reflect.ValueOf(&bad).Elem()
-	walkCounters(v, v, func(a, b uint64) uint64 { return a + b })
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"sparc64v/internal/cache"
@@ -636,5 +637,42 @@ func TestTLBPenaltyVisible(t *testing.T) {
 	}
 	if real.Mem.TLBStallCycles == 0 {
 		t.Error("no TLB stall cycles recorded")
+	}
+}
+
+// TestCountersRoundTrip gives every leaf of a Counters a distinct value,
+// writes it and reads it back: a field the reader or the writer leaves out
+// reads back as zero. The warm-up reset then goes through the same writer.
+func TestCountersRoundTrip(t *testing.T) {
+	cfg := config.Base()
+	c := New(&cfg, 0, NewChipMem(&cfg, 0, &fakePort{}), trace.NewSliceSource(nil))
+	var want Counters
+	n := uint64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Uint64:
+			n++
+			v.SetUint(n)
+		case reflect.Struct:
+			for i := range v.NumField() {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := range v.Len() {
+				fill(v.Index(i))
+			}
+		default:
+			t.Fatalf("Counters leaf of kind %s", v.Kind())
+		}
+	}
+	fill(reflect.ValueOf(&want).Elem())
+	c.setCounters(want)
+	if got := c.Counters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("read back %+v,\nwrote %+v", got, want)
+	}
+	c.resetMeasurement()
+	if got, want := c.Counters(), (Counters{Core: Stats{Cycles: 1}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the warm-up reset read %+v, want %+v", got, want)
 	}
 }

@@ -31,7 +31,7 @@ func FuzzLitmusOutcomes(f *testing.F) {
 			MaxGap:    3,
 			ExtraSkew: patterns[int(pattern)%len(patterns)],
 		}
-		res, err := Run(context.Background(), tt, cfg, bopt, 1_000_000)
+		res, err := Run(context.Background(), tt, cfg, bopt)
 		if err != nil {
 			t.Fatalf("%s seed=%d skew=%d pattern=%d: %v", tt.Name, seed, maxSkew, pattern, err)
 		}

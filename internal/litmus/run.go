@@ -35,15 +35,21 @@ type Options struct {
 	Seeds int
 	// BaseSeed offsets the per-run seeds (default 1).
 	BaseSeed int64
-	// MaxSkew / MaxGap bound the random fillers (defaults 96 / 3).
-	MaxSkew, MaxGap int
 	// CPUs pads the machine beyond the shape's natural size (0 = natural).
 	CPUs int
 	// Workers bounds the parallel fan-out (0 = GOMAXPROCS).
 	Workers int
-	// MaxCycles caps each run (default 1M; litmus runs take ~1k cycles).
-	MaxCycles uint64
 }
+
+// A sweep's random fillers: up to sweepMaxSkew before each CPU's body and
+// up to sweepMaxGap between body steps.
+const (
+	sweepMaxSkew = 96
+	sweepMaxGap  = 3
+)
+
+// runMaxCycles caps each run; litmus runs take ~1k cycles.
+const runMaxCycles = 1_000_000
 
 // withDefaults fills the zero values.
 func (o Options) withDefaults() Options {
@@ -53,21 +59,12 @@ func (o Options) withDefaults() Options {
 	if o.BaseSeed == 0 {
 		o.BaseSeed = 1
 	}
-	if o.MaxSkew == 0 {
-		o.MaxSkew = 96
-	}
-	if o.MaxGap == 0 {
-		o.MaxGap = 3
-	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 1_000_000
-	}
 	return o
 }
 
 // lateSkew is the structural skew of a "this CPU runs late" pattern: far
-// past MaxSkew plus the ~64-cycle store-drain window, so a late CPU's body
-// provably starts after an early CPU's stores have drained.
+// past sweepMaxSkew plus the ~64-cycle store-drain window, so a late CPU's
+// body provably starts after an early CPU's stores have drained.
 const lateSkew = 256
 
 // skewPatterns returns the structural per-CPU skew patterns a sweep
@@ -112,7 +109,7 @@ type Result struct {
 // Run builds and simulates one litmus program and classifies its outcome.
 // Errors are infrastructure failures (the run could not be trusted);
 // forbidden outcomes come back as Allowed=false, not as errors.
-func Run(ctx context.Context, t Test, cfg config.Config, bopt BuildOptions, maxCycles uint64) (Result, error) {
+func Run(ctx context.Context, t Test, cfg config.Config, bopt BuildOptions) (Result, error) {
 	prog, err := t.Build(bopt)
 	if err != nil {
 		return Result{}, err
@@ -135,15 +132,12 @@ func Run(ctx context.Context, t Test, cfg config.Config, bopt BuildOptions, maxC
 		sys.CPU(i).Observer = obs
 		sys.Chip(i).Observer = obs
 	}
-	if maxCycles == 0 {
-		maxCycles = 1_000_000
-	}
-	cycles, capped, err := sys.RunContext(ctx, maxCycles)
+	cycles, capped, err := sys.RunContext(ctx, runMaxCycles)
 	if err != nil {
 		return Result{}, err
 	}
 	if capped {
-		return Result{}, fmt.Errorf("litmus %s: run hit the %d-cycle cap", t.Name, maxCycles)
+		return Result{}, fmt.Errorf("litmus %s: run hit the %d-cycle cap", t.Name, runMaxCycles)
 	}
 	for i := 0; i < prog.CPUs; i++ {
 		if got, want := sys.CPU(i).Stats.Committed, uint64(len(prog.Recs[i])); got != want {
@@ -214,12 +208,12 @@ func Sweep(ctx context.Context, t Test, cfg config.Config, opt Options) (SweepRe
 		func(ctx context.Context, i int) (Result, error) {
 			bopt := BuildOptions{
 				Seed:      opt.BaseSeed + int64(i),
-				MaxSkew:   opt.MaxSkew,
-				MaxGap:    opt.MaxGap,
+				MaxSkew:   sweepMaxSkew,
+				MaxGap:    sweepMaxGap,
 				ExtraSkew: patterns[i%len(patterns)],
 				CPUs:      opt.CPUs,
 			}
-			return Run(ctx, t, cfg, bopt, opt.MaxCycles)
+			return Run(ctx, t, cfg, bopt)
 		})
 	if err != nil {
 		return SweepResult{}, err

@@ -73,12 +73,6 @@ func (s *System) Chip(i int) *cpu.ChipMem { return s.chips[i] }
 // Controller returns the coherence controller.
 func (s *System) Controller() *coherence.Controller { return s.ctrl }
 
-// Bus returns the system bus (reporting and diagnostics).
-func (s *System) Bus() *mem.Bus { return s.bus }
-
-// DRAM returns main memory (reporting and diagnostics).
-func (s *System) DRAM() *mem.DRAM { return s.dram }
-
 // CPUReport is the per-processor slice of a Report.
 type CPUReport struct {
 	// Core is the core counter block.
@@ -223,33 +217,9 @@ func (r *Report) BranchFailureRate() float64 {
 	return stats.Ratio(mp, br)
 }
 
-// Report snapshots the machine state into a Report.
+// Report reads the machine's counters into a Report.
 func (s *System) Report(workload string) Report {
-	r := Report{
-		Name:     s.cfg.Name,
-		Workload: workload,
-		Cycles:   s.cycle,
-	}
-	for i, c := range s.cpus {
-		cr := CPUReport{
-			Core: c.Stats,
-			L1I:  s.chips[i].L1I.Stats,
-			L1D:  s.chips[i].L1D.Stats,
-			L2:   s.chips[i].L2.Stats,
-		}
-		if p := c.Predictor(); p != nil {
-			cr.Branch = p.Stats
-		}
-		cr.ITLBMissRate = s.chips[i].ITLB.MissRate()
-		cr.DTLBMissRate = s.chips[i].DTLB.MissRate()
-		cr.TLBStallCycles = s.chips[i].TLBStallCycles
-		r.CPUs = append(r.CPUs, cr)
-		r.Committed += c.Stats.Committed
-	}
-	r.Coherence = s.ctrl.Stats
-	r.BusWaitCycles = s.bus.WaitCycles()
-	r.DRAMWaitCycles = s.dram.WaitCycles()
-	return r
+	return s.Counters().Report(s.cfg.Name, workload, s.cycle)
 }
 
 // String renders a one-line summary.

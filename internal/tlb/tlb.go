@@ -96,11 +96,3 @@ func (t *TLB) Access(addr uint64) int {
 	set[victim] = entry{vpn: vpn, valid: true, lru: t.tick}
 	return t.penalty
 }
-
-// MissRate returns misses per access.
-func (t *TLB) MissRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Accesses)
-}

@@ -30,9 +30,6 @@ func TestHitMiss(t *testing.T) {
 	if tl.Accesses != 4 || tl.Misses != 2 {
 		t.Fatalf("stats = %d/%d", tl.Misses, tl.Accesses)
 	}
-	if tl.MissRate() != 0.5 {
-		t.Fatalf("MissRate = %v", tl.MissRate())
-	}
 }
 
 func TestLRUReplacement(t *testing.T) {
@@ -56,13 +53,13 @@ func TestWorkingSetBehavior(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		tl.Access(uint64(rng.Intn(32)) << 13)
 	}
-	inReach := tl.MissRate()
+	inReach := float64(tl.Misses) / float64(tl.Accesses)
 	tl2 := New(geo(64))
 	// Working set 64x the reach: high miss rate.
 	for i := 0; i < 50000; i++ {
 		tl2.Access(uint64(rng.Intn(4096)) << 13)
 	}
-	outReach := tl2.MissRate()
+	outReach := float64(tl2.Misses) / float64(tl2.Accesses)
 	if inReach > 0.01 {
 		t.Errorf("in-reach miss rate %.4f too high", inReach)
 	}
@@ -78,10 +75,4 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(config.TLBGeometry{Entries: 8, PageBytes: 3000})
-}
-
-func TestZeroAccessesMissRate(t *testing.T) {
-	if New(geo(8)).MissRate() != 0 {
-		t.Error("zero-access miss rate must be 0")
-	}
 }

@@ -44,23 +44,6 @@ const (
 	Shared
 )
 
-// String names the region kind.
-func (k RegionKind) String() string {
-	switch k {
-	case Stack:
-		return "stack"
-	case Random:
-		return "random"
-	case Stream:
-		return "stream"
-	case Chain:
-		return "chain"
-	case Shared:
-		return "shared"
-	}
-	return "region?"
-}
-
 // Region describes one data region of a profile.
 type Region struct {
 	// Kind selects the access pattern.
