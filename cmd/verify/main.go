@@ -25,8 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"sparc64v/internal/cache"
-	"sparc64v/internal/coherence"
 	"sparc64v/internal/core"
 	"sparc64v/internal/metamorph"
 	"sparc64v/internal/obs"
@@ -34,20 +32,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// injectFault arms the named fault at whichever injection point owns it:
-// cache faults (l1index) and coherence faults (dropinval) share the flag.
-func injectFault(name string) bool {
-	if f, ok := cache.FaultByName(name); ok {
-		cache.InjectFault(f)
-		return true
-	}
-	if f, ok := coherence.FaultByName(name); ok {
-		coherence.InjectFault(f)
-		return true
-	}
-	return false
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -71,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "verify: -quick and -full are mutually exclusive")
 		return 2
 	}
-	if !injectFault(*inject) {
-		fmt.Fprintf(stderr, "verify: unknown fault %q (have: l1index, dropinval)\n", *inject)
+	if err := metamorph.InjectFault(*inject); err != nil {
+		fmt.Fprintf(stderr, "verify: %v\n", err)
 		return 2
 	}
 
@@ -81,10 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:    *seed,
 		Insts:   *insts,
 		Workers: *workers,
-		// The cluster-replay differential lives here (not in
-		// internal/metamorph) because it drives the HTTP gateway; see
-		// cluster.go.
-		Extra: []metamorph.Check{clusterReplayCheck()},
 	}
 	if *profile != "" {
 		opt.Obs = obs.NewCollector()

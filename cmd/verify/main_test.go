@@ -5,8 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"sparc64v/internal/cache"
-	"sparc64v/internal/coherence"
+	"sparc64v/internal/metamorph"
 )
 
 // These tests arm process-global state (the fault injectors) through the
@@ -19,8 +18,8 @@ func TestUnknownCheckListsValidNames(t *testing.T) {
 		t.Fatalf("exit = %d, want 2; stderr: %s", code, errb.String())
 	}
 	msg := errb.String()
-	// The listing must include catalog checks and the Extra check wired in
-	// by this command — the whole point of the error is discoverability.
+	// The listing must include every catalog check, the cluster check
+	// among them — the whole point of the error is discoverability.
 	for _, want := range []string{"no-such-check", "tso-outcomes", "diff-cluster-replay", "mono-l1-size"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("stderr %q does not mention %q", msg, want)
@@ -53,8 +52,7 @@ func TestInjectDropInvalFailsTSOCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs litmus sweeps")
 	}
-	defer coherence.InjectFault(coherence.FaultNone)
-	defer cache.InjectFault(cache.FaultNone)
+	defer metamorph.InjectFault("none")
 	var out, errb bytes.Buffer
 	code := run([]string{"-quick", "-checks", "tso-outcomes", "-inject", "dropinval"}, &out, &errb)
 	if code != 1 {

@@ -9,7 +9,6 @@ import (
 	"sparc64v/internal/core"
 	"sparc64v/internal/obs"
 	"sparc64v/internal/runcache"
-	"sparc64v/internal/sched"
 	"sparc64v/internal/system"
 	"sparc64v/internal/workload"
 )
@@ -69,21 +68,12 @@ func (o *CalibrateOptions) defaults() {
 
 // Calibrate fits per-workload coefficients against detailed reference runs
 // of the Ladder configurations and returns the complete, serializable
-// calibration artifact. All (workload, configuration) runs fan out on the
-// scheduler; results are deterministic for fixed (Insts, Seed).
+// calibration artifact. All (workload, configuration) runs go through
+// core.RunJobs, so each workload's ladder shares one decoded trace;
+// results are deterministic for fixed (Insts, Seed).
 func Calibrate(ctx context.Context, profiles []workload.Profile, opt CalibrateOptions) (*Calibration, error) {
 	opt.defaults()
 	ladder := Ladder(config.Base())
-	type job struct {
-		prof workload.Profile
-		cfg  config.Config
-	}
-	var jobs []job
-	for _, p := range profiles {
-		for _, cfg := range ladder {
-			jobs = append(jobs, job{p, cfg})
-		}
-	}
 	ropt := core.RunOptions{
 		Insts:   opt.Insts,
 		Seed:    opt.Seed,
@@ -91,16 +81,17 @@ func Calibrate(ctx context.Context, profiles []workload.Profile, opt CalibrateOp
 		Cache:   opt.Cache,
 		Obs:     opt.Obs,
 	}
-	reports, err := sched.MapCtx(ctx, len(jobs), sched.Options{Workers: opt.Workers},
-		func(ctx context.Context, i int) (system.Report, error) {
-			m, err := core.NewModel(jobs[i].cfg)
-			if err != nil {
-				return system.Report{}, err
-			}
-			return m.RunContext(ctx, jobs[i].prof, ropt)
-		})
-	if err != nil {
-		return nil, fmt.Errorf("analytic: calibration reference runs: %w", err)
+	var jobs []core.Job
+	for _, p := range profiles {
+		for _, cfg := range ladder {
+			jobs = append(jobs, core.Job{Config: cfg, Profile: p, Opt: ropt})
+		}
+	}
+	reports, errs := core.RunJobs(ctx, jobs, ropt)
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("analytic: calibration reference runs: %w", err)
+		}
 	}
 
 	cal := &Calibration{

@@ -4,7 +4,8 @@ package cache
 //
 // The harness (internal/metamorph, cmd/verify -inject) proves it can catch
 // real model bugs by planting one and demanding that at least one catalog
-// check fails. The faults here are the classic cache-model bugs the
+// check fails. The harness's fault table (metamorph.InjectFault) names
+// them ("l1index"); this package only implements them. The faults here are the classic cache-model bugs the
 // paper's logic-simulator cross-check was designed to surface; they are
 // compile-time-real but default-off, and nothing on the simulation hot
 // path pays for them: a fault is sampled once in New and baked into the
@@ -26,28 +27,6 @@ const (
 	// while reporting its configured geometry.
 	FaultIndexBits
 )
-
-// String names the fault.
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultIndexBits:
-		return "l1index"
-	}
-	return "fault?"
-}
-
-// FaultByName resolves a -inject flag value ("" and "none" mean no fault).
-func FaultByName(name string) (Fault, bool) {
-	switch name {
-	case "", "none":
-		return FaultNone, true
-	case "l1index":
-		return FaultIndexBits, true
-	}
-	return FaultNone, false
-}
 
 // injected is the process-global fault, sampled by New.
 var injected Fault

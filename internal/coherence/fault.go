@@ -1,7 +1,8 @@
 package coherence
 
 // Deliberate coherence-protocol fault injection for the metamorphic
-// verification harness, mirroring internal/cache's fault machinery.
+// verification harness, mirroring internal/cache's fault machinery; the
+// harness's fault table (metamorph.InjectFault) names it "dropinval".
 //
 // The tso-outcomes check (internal/metamorph, driven by internal/litmus)
 // proves it can catch real memory-ordering bugs by planting one here and
@@ -29,28 +30,6 @@ const (
 	// exactly the forbidden outcome the litmus harness must flag.
 	FaultDropInvalidate
 )
-
-// String names the fault.
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultDropInvalidate:
-		return "dropinval"
-	}
-	return "fault?"
-}
-
-// FaultByName resolves a -inject flag value ("" and "none" mean no fault).
-func FaultByName(name string) (Fault, bool) {
-	switch name {
-	case "", "none":
-		return FaultNone, true
-	case "dropinval":
-		return FaultDropInvalidate, true
-	}
-	return FaultNone, false
-}
 
 // injected is the process-global fault, sampled by NewController.
 var injected Fault

@@ -584,24 +584,24 @@ func SampledStudy(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 // table reports the deterministic side of the same calibration — the
 // cycle counts the model computes for a fixed 200k-instruction trace of
 // each workload — and cmd/sweep prints the measured effective
-// sim-instrs/s on stderr. The runs honor opt.Cache like every other study,
-// so a warm-cache sweep serves them without simulating. The first run
+// sim-instrs/s on stderr. The runs go through runJobs with opt's Workers,
+// Cache and Obs like every other study, so a warm-cache sweep serves them
+// without simulating and a profiled sweep records them. The first run
 // error (a cancellation, say) fails the study, so a cut sweep marks it
 // incomplete instead of rendering a short table.
 func ModelSpeed(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	t := stats.NewTable("Model calibration (200k-instr runs, base configuration)",
 		"workload", "instructions", "simulated cycles")
-	m, err := core.NewModel(config.Base())
+	// A fixed length on the default seed with sampling off: the table is
+	// the model's calibration point, not a function of the sweep options.
+	o := core.RunOptions{Insts: 200_000, Workers: opt.Workers, Cache: opt.Cache, Obs: opt.Obs}
+	profiles := workload.UPProfiles()
+	reps, err := runJobs(ctx, crossJobs(profiles, []config.Config{config.Base()}, o), o)
 	if err != nil {
 		return nil, err
 	}
-	const insts = 200_000
-	for _, p := range workload.UPProfiles() {
-		r, err := m.RunContext(ctx, p, core.RunOptions{Insts: insts, Cache: opt.Cache})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(p.Name, r.Committed, r.MeasuredCycles())
+	for i, p := range profiles {
+		t.AddRow(p.Name, reps[i].Committed, reps[i].MeasuredCycles())
 	}
 	return []Result{{ID: "Section 2.1", Title: "Model speed", Table: t,
 		Notes: []string{"the paper's model ran at 7.8K instr/s on a 1-GHz Pentium III; " +

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sparc64v/internal/core"
+	"sparc64v/internal/obs"
 )
 
 // Small windows keep the suite fast; shape assertions are correspondingly
@@ -143,6 +144,25 @@ func TestModelSpeed(t *testing.T) {
 	// rendering twice gives the same bytes.
 	if a, b := r.Table.String(), runStudy(t, ModelSpeed, 1)[0].Table.String(); a != b {
 		t.Error("ModelSpeed table is not deterministic across runs")
+	}
+}
+
+// TestModelSpeedProfilesEveryRun: a profiled sweep records the Section 2.1
+// runs like every other study's, one "run" span per UP workload.
+func TestModelSpeedProfilesEveryRun(t *testing.T) {
+	opt := testOpt()
+	opt.Obs = obs.NewCollector()
+	if _, err := ModelSpeed(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	var runs []string
+	for _, p := range opt.Obs.Profiles() {
+		if p.Name == "run" {
+			runs = append(runs, p.Label)
+		}
+	}
+	if len(runs) != 5 {
+		t.Fatalf("ModelSpeed recorded %d run spans %v, want 5", len(runs), runs)
 	}
 }
 

@@ -139,7 +139,8 @@ func TestCandidatesHealthOrder(t *testing.T) {
 }
 
 // TestTrailingBodyBytes pins that the gateway rejects what its workers
-// reject: bytes after the JSON object are a 400, answered at the edge for
+// reject: bytes after the JSON object, and a negative cpus (which once
+// resolved to the default CPU count), are a 400, answered at the edge for
 // runs (nothing is routed or simulated) and by the worker for estimates,
 // which the gateway forwards verbatim.
 func TestTrailingBodyBytes(t *testing.T) {
@@ -148,6 +149,9 @@ func TestTrailingBodyBytes(t *testing.T) {
 		{"/v1/run", `{"workload":"tpcc"}junk`},
 		{"/v1/run", `{"workload":"tpcc"}{}`},
 		{"/v1/estimate", `{"workload":"tpcc"}junk`},
+		{"/v1/run", `{"workload":"specint95","cpus":-3}`},
+		{"/v1/run", `{"workload":"tpcc16p","cpus":-3}`},
+		{"/v1/estimate", `{"workload":"tpcc16p","cpus":-3}`},
 	} {
 		resp, err := http.Post(gwts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -133,6 +133,11 @@ func Catalog() []Check {
 			Detail: "litmus sweeps: no TSO-forbidden outcome, store-buffer witness observed",
 			Run:    checkTSOOutcomes,
 		},
+		{
+			Name: "diff-cluster-replay", Kind: "differential",
+			Detail: "a config sweep through 1-node and 3-node cluster topologies returns byte-identical reports",
+			Run:    checkDiffClusterReplay,
+		},
 	}
 }
 

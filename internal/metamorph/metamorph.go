@@ -19,21 +19,26 @@
 //   - differential: independent implementations must agree exactly — the
 //     OoO commit stream against the trace and the reverse-tracer replay,
 //     the LRU cache against a structurally different shadow model, a
-//     cache-served run against the cold simulation that produced it, and
-//     design-change trends against the in-order reference model;
+//     cache-served run against the cold simulation that produced it, a
+//     3-node cluster against a single node, and design-change trends
+//     against the in-order reference model;
 //   - conformance: the SMP model must obey the SPARC TSO memory model —
 //     litmus-test sweeps (internal/litmus) may never observe a forbidden
 //     outcome and must witness the store-buffer relaxation.
 //
 // Checks run through the public model API (internal/core and
-// internal/system) and fan out on the scheduler; cmd/verify is the CLI
-// gate and `make verify` / CI wire it into the build.
+// internal/system, and the HTTP service for the cluster check) and fan
+// out on the scheduler. This package also owns the injectable model
+// faults (InjectFault) that prove the catalog still catches bugs;
+// cmd/verify is the CLI gate and `make verify` / CI wire it into the
+// build.
 package metamorph
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -180,29 +185,8 @@ type Options struct {
 	Workers int
 	// Checks, when non-empty, restricts the run to the named checks.
 	Checks []string
-	// Extra appends caller-supplied checks to the catalog. This is the
-	// extension point for checks that live above this package in the
-	// import graph (cmd/verify's cluster-replay check exercises the HTTP
-	// gateway, which depends on packages that depend on metamorph).
-	Extra []Check
-	// Obs, when non-nil, collects a per-check timing span ("check"/<name>)
-	// alongside the verdict counters the harness always publishes to the
-	// process-wide metric registry.
+	// Obs, when non-nil, collects a per-check timing span ("check"/<name>).
 	Obs *obs.Collector
-}
-
-// Verdict counters in the process-wide registry: one series per status, so
-// a long-lived service running periodic verification exposes its pass/fail
-// history on /metrics.
-var (
-	verdictPass  = verdictCounter(StatusPass)
-	verdictFail  = verdictCounter(StatusFail)
-	verdictError = verdictCounter(StatusError)
-)
-
-func verdictCounter(status string) *obs.Counter {
-	return obs.Default().Counter("sparc64v_metamorph_verdicts_total",
-		"Metamorphic verification check verdicts, by status.", obs.L("status", status))
 }
 
 // modeProfiles returns the workload set for a mode.
@@ -271,14 +255,10 @@ func Run(ctx context.Context, opt Options) (Report, error) {
 			}
 			var viol *Violation
 			switch {
-			case err == nil:
-				verdictPass.Inc()
 			case errors.As(err, &viol):
 				v.Status, v.Detail = StatusFail, viol.Msg
-				verdictFail.Inc()
-			default:
+			case err != nil:
 				v.Status, v.Detail = StatusError, err.Error()
-				verdictError.Inc()
 			}
 			sp.Add(v.Status, 1)
 			sp.Finish()
@@ -301,7 +281,7 @@ func Run(ctx context.Context, opt Options) (Report, error) {
 
 // selectChecks resolves the catalog subset for the options.
 func selectChecks(opt Options) ([]Check, error) {
-	all := append(Catalog(), opt.Extra...)
+	all := Catalog()
 	if len(opt.Checks) == 0 {
 		if opt.Full {
 			return all, nil
@@ -332,18 +312,69 @@ func selectChecks(opt Options) ([]Check, error) {
 	return sel, nil
 }
 
-// injectedFaults renders the process-wide fault state across all
-// injection points (cache and coherence) for the report header.
+// fault is one injectable model bug: the name -inject takes, and how to
+// arm, disarm and read the injection point (internal/cache or
+// internal/coherence) that owns it.
+type fault struct {
+	name  string
+	set   func(on bool)
+	armed func() bool
+}
+
+// faultAt builds the table entry for fault f of an injection point whose
+// zero value means "no fault".
+func faultAt[F comparable](name string, f F, inject func(F), injected func() F) fault {
+	var none F
+	return fault{
+		name: name,
+		set: func(on bool) {
+			if on {
+				inject(f)
+			} else {
+				inject(none)
+			}
+		},
+		armed: func() bool { return injected() == f },
+	}
+}
+
+// faults is the one table of injectable faults, in listing order.
+var faults = []fault{
+	faultAt("l1index", cache.FaultIndexBits, cache.InjectFault, cache.InjectedFault),
+	faultAt("dropinval", coherence.FaultDropInvalidate, coherence.InjectFault, coherence.InjectedFault),
+}
+
+// InjectFault arms the named model fault for every model built afterwards
+// and disarms every other; "" and "none" disarm them all. Injection is
+// process-global: call it before any simulation starts, never mid-run.
+func InjectFault(name string) error {
+	if name == "" {
+		name = "none"
+	}
+	var names []string
+	for _, f := range faults {
+		names = append(names, f.name)
+	}
+	if name != "none" && !slices.Contains(names, name) {
+		return fmt.Errorf("metamorph: unknown fault %q (have: %s)", name, strings.Join(names, ", "))
+	}
+	for _, f := range faults {
+		f.set(f.name == name)
+	}
+	return nil
+}
+
+// injectedFaults renders the armed faults for the report header: their
+// names joined by "+", or "none".
 func injectedFaults() string {
 	var armed []string
-	if f := cache.InjectedFault(); f != cache.FaultNone {
-		armed = append(armed, f.String())
-	}
-	if f := coherence.InjectedFault(); f != coherence.FaultNone {
-		armed = append(armed, f.String())
+	for _, f := range faults {
+		if f.armed() {
+			armed = append(armed, f.name)
+		}
 	}
 	if len(armed) == 0 {
-		return cache.FaultNone.String()
+		return "none"
 	}
 	return strings.Join(armed, "+")
 }

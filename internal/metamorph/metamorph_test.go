@@ -39,8 +39,10 @@ func TestQuickCatalogPasses(t *testing.T) {
 // bug must fail at least one monotonicity or differential check in quick
 // mode, or the catalog is security theater.
 func TestInjectedFaultCaught(t *testing.T) {
-	cache.InjectFault(cache.FaultIndexBits)
-	defer cache.InjectFault(cache.FaultNone)
+	if err := InjectFault("l1index"); err != nil {
+		t.Fatal(err)
+	}
+	defer InjectFault("none")
 	rep, err := Run(context.Background(), Options{Insts: 10_000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -72,8 +74,10 @@ func TestInjectedFaultCaught(t *testing.T) {
 // tso-outcomes check — stale copies survive in remote chips and the
 // litmus sweeps observe forbidden outcomes.
 func TestInjectedCoherenceFaultCaught(t *testing.T) {
-	coherence.InjectFault(coherence.FaultDropInvalidate)
-	defer coherence.InjectFault(coherence.FaultNone)
+	if err := InjectFault("dropinval"); err != nil {
+		t.Fatal(err)
+	}
+	defer InjectFault("none")
 	rep, err := Run(context.Background(), Options{Checks: []string{"tso-outcomes"}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -85,6 +89,48 @@ func TestInjectedCoherenceFaultCaught(t *testing.T) {
 		t.Fatalf("injected dropinval fault escaped tso-outcomes: %+v", rep.Verdicts)
 	}
 	t.Logf("fault caught: %s", rep.Verdicts[0].Detail)
+}
+
+// TestInjectFaultTable pins the one fault-name table: each name arms only
+// its own injection point and is what the report header shows, "none"
+// disarms everything, and an unknown name is rejected with the names
+// listed and the armed state left alone.
+func TestInjectFaultTable(t *testing.T) {
+	defer InjectFault("none")
+	for _, tc := range []struct {
+		name      string
+		cache     cache.Fault
+		coherence coherence.Fault
+		header    string
+	}{
+		{"l1index", cache.FaultIndexBits, coherence.FaultNone, "l1index"},
+		{"dropinval", cache.FaultNone, coherence.FaultDropInvalidate, "dropinval"},
+		{"none", cache.FaultNone, coherence.FaultNone, "none"},
+		{"", cache.FaultNone, coherence.FaultNone, "none"},
+	} {
+		if err := InjectFault(tc.name); err != nil {
+			t.Fatalf("InjectFault(%q): %v", tc.name, err)
+		}
+		if cache.InjectedFault() != tc.cache || coherence.InjectedFault() != tc.coherence {
+			t.Errorf("InjectFault(%q) armed cache %d, coherence %d", tc.name,
+				cache.InjectedFault(), coherence.InjectedFault())
+		}
+		if got := injectedFaults(); got != tc.header {
+			t.Errorf("InjectFault(%q): report fault %q, want %q", tc.name, got, tc.header)
+		}
+	}
+	cache.InjectFault(cache.FaultIndexBits)
+	coherence.InjectFault(coherence.FaultDropInvalidate)
+	if got := injectedFaults(); got != "l1index+dropinval" {
+		t.Errorf("both armed: report fault %q, want l1index+dropinval", got)
+	}
+	err := InjectFault("nope")
+	if err == nil || !strings.Contains(err.Error(), "have: l1index, dropinval") {
+		t.Errorf("InjectFault(nope) = %v, want an error listing l1index, dropinval", err)
+	}
+	if got := injectedFaults(); got != "l1index+dropinval" {
+		t.Errorf("a rejected name changed the armed faults to %q", got)
+	}
 }
 
 func TestCheckSelection(t *testing.T) {
@@ -107,19 +153,14 @@ func TestCheckSelection(t *testing.T) {
 }
 
 // TestUnknownCheckErrorListsNames pins the unknown-check error message: it
-// must list every valid name, including caller-supplied Extra checks —
-// cmd/verify users see this text when they typo a -checks value.
+// must list every valid name, the cluster check among them — cmd/verify
+// users see this text when they typo a -checks value.
 func TestUnknownCheckErrorListsNames(t *testing.T) {
-	extra := Check{Name: "extra-gateway-check", Kind: "differential",
-		Run: func(context.Context, *Env) (string, error) { return "", nil }}
-	_, err := Run(context.Background(), Options{
-		Checks: []string{"no-such-check"},
-		Extra:  []Check{extra},
-	})
+	_, err := Run(context.Background(), Options{Checks: []string{"no-such-check"}})
 	if err == nil {
 		t.Fatal("unknown check name accepted")
 	}
-	for _, want := range []string{"tso-outcomes", "extra-gateway-check", "mono-l1-size"} {
+	for _, want := range []string{"tso-outcomes", "diff-cluster-replay", "mono-l1-size"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %q", err, want)
 		}

@@ -108,6 +108,10 @@ func TestRunAndEstimateRejectAlike(t *testing.T) {
 		{"unknown overlay field", `{"workload":"specint95","config":{"NoSuchKnob":1}}`},
 		{"invalid overlay geometry", `{"workload":"specint95","config":{"L1D":{"SizeBytes":98304,"Ways":2,"LineBytes":64,"HitCycles":4}}}`},
 		{"overlay breaks validation", `{"workload":"tpcc16p","config":{"CPUs":-1}}`},
+		// Regression: a negative cpus resolved to the base CPU count (1, or
+		// 16 for an MP workload) instead of being rejected.
+		{"negative cpus", `{"workload":"specint95","cpus":-3}`},
+		{"negative cpus on an MP workload", `{"workload":"tpcc16p","cpus":-3}`},
 	} {
 		runResp, runBody := postRun(t, ts.URL, tc.body)
 		estResp, estBody := postEstimate(t, ts.URL, tc.body)

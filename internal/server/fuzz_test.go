@@ -41,6 +41,7 @@ func FuzzRunRequest(f *testing.F) {
 		`{"workload":"specfp95","config":{"CPU":{"IssueWidth":2}}}`,
 		`{"workload":"nope"}`,
 		`{"workload":"specint95","insts":-1}`,
+		`{"workload":"specint95","cpus":-3}`,
 		`{"workload":"specint95","unknown":1}`,
 		`not json`,
 		``,

@@ -343,6 +343,8 @@ func resolveMachine(base config.Config, name string, cpus int, overlay json.RawM
 		}
 	}
 	switch {
+	case cpus < 0:
+		return prof, base, fmt.Errorf("cpus must be >= 0")
 	case cpus > 0:
 		cfg = cfg.WithCPUs(cpus)
 	case prof.SharedBytes > 0 && cfg.CPUs <= 1:
@@ -518,10 +520,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	var study expt.Study
 	found := false
 	var slugs []string
-	// The sweep registry plus the verification catalog: the harness is
-	// addressable like any figure here, but stays out of Studies() so it
-	// never appears in EXPERIMENTS.md.
-	for _, st := range append(expt.Studies(), expt.VerificationStudy()) {
+	for _, st := range expt.Studies() {
 		slugs = append(slugs, st.Slug())
 		if st.Slug() == id {
 			study, found = st, true
