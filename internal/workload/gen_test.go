@@ -306,6 +306,38 @@ func BenchmarkNewGen(b *testing.B) {
 	}
 }
 
+// Every block's slots are carved from one arena with cap equal to len, so
+// an append to one block can never write into its neighbour's slots.
+func TestProgramArenaNoAlias(t *testing.T) {
+	for _, name := range Names() {
+		p, _ := ByName(name)
+		g := New(p, 1, 0)
+		if len(g.blocks) != p.NumFuncs*p.BlocksPerFunc {
+			t.Errorf("%s: %d blocks, want %d", name, len(g.blocks), p.NumFuncs*p.BlocksPerFunc)
+		}
+		for i, b := range g.blocks {
+			if cap(b.slots) != len(b.slots) {
+				t.Fatalf("%s block %d: cap %d != len %d", name, i, cap(b.slots), len(b.slots))
+			}
+		}
+	}
+}
+
+// Building a generator is a fixed handful of allocations, not one per
+// block: the largest static program (TPC-C, 50,000 blocks) must stay under
+// the bound, single- and multi-processor.
+func TestNewGenAllocs(t *testing.T) {
+	const bound = 32
+	for _, c := range []struct {
+		p   Profile
+		cpu int
+	}{{TPCC(), 0}, {TPCC16P(), 3}} {
+		if n := testing.AllocsPerRun(3, func() { New(c.p, 1, c.cpu) }); n > bound {
+			t.Errorf("New(%s, 1, %d): %.0f allocs, want ≤ %d", c.p.Name, c.cpu, n, bound)
+		}
+	}
+}
+
 func TestHPCProfile(t *testing.T) {
 	p := HPC()
 	g := New(p, 3, 0)
