@@ -7,7 +7,7 @@ INSTS ?= 1000000
 # with unchanged config+workload+seed+model are served without simulating.
 CACHE_DIR ?= .simcache
 
-.PHONY: build test race bench bench-test benchdiff bench-baseline sampling-speedup sweep experiments-check accuracy serve smoke cluster-smoke verify verify-quick litmus clean
+.PHONY: build test race bench bench-test benchdiff bench-baseline sampling-speedup sweep experiments-check calibration-check accuracy serve smoke cluster-smoke verify verify-quick litmus clean
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,12 @@ experiments-check:
 	mkdir "$$dir/cache" && \
 	$(GO) run ./cmd/sweep -insts 1000000 -markdown -cache-dir "$$dir/cache" > "$$dir/EXPERIMENTS.md" && \
 	cmp "$$dir/EXPERIMENTS.md" EXPERIMENTS.md
+
+# The analytic estimator's artifact must be what cmd/calibrate writes from
+# the current model: the fit is deterministic, so any byte that differs
+# means the checked-in coefficients are stale.
+calibration-check:
+	$(GO) run ./cmd/calibrate -out - | cmp - internal/analytic/calibration.json
 
 accuracy:
 	$(GO) run ./cmd/accuracy -cache-dir $(CACHE_DIR)
