@@ -18,7 +18,7 @@
 // trend runs that already completed. The reverse-tracer section replays
 // explicit traces and always simulates.
 //
-// Run lifecycle: -timeout bounds the whole workflow and SIGINT (Ctrl-C)
+// Run lifecycle: -timeout bounds the whole workflow and SIGINT (Ctrl-C) or SIGTERM
 // cancels it cooperatively; sections that already printed stand, the
 // section in flight reports the cancellation, and the process exits
 // non-zero.
@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 
 	"sparc64v/internal/analytic"
 	"sparc64v/internal/config"
@@ -60,7 +61,7 @@ func main() {
 	if !ok {
 		fatal("unknown workload %q (have %v)", *workloadName, workload.Names())
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

@@ -10,7 +10,7 @@
 // instructions/second — the modern counterpart of the paper's "7.8K
 // instructions per second on a 1-GHz Pentium III" model-speed quote.
 //
-// Run lifecycle: -timeout bounds the whole sweep, and SIGINT (Ctrl-C)
+// Run lifecycle: -timeout bounds the whole sweep, and SIGINT (Ctrl-C) or SIGTERM
 // cancels it cooperatively. Either way every study that finished before
 // the cancellation still renders; studies that didn't are marked
 // "(incomplete)" in their presentation slot, and the process exits
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"sparc64v/internal/config"
@@ -57,7 +58,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

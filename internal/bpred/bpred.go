@@ -13,27 +13,26 @@ package bpred
 import (
 	"math/bits"
 
+	"sparc64v/internal/assoc"
 	"sparc64v/internal/config"
 	"sparc64v/internal/isa"
 )
 
+// entry is one branch's prediction state, tagged by BHT.index.
 type entry struct {
-	tag     uint64
 	target  uint64
 	counter uint8 // 2-bit saturating: 0,1 not-taken; 2,3 taken
-	valid   bool
-	lru     uint64
 }
 
 // BHT is a tagged, set-associative branch history table.
 type BHT struct {
-	sets    [][]entry
+	entries assoc.Table[entry]
 	setMask uint64
 	// tagShift is log2 of the set count: the tag is the line number
 	// above the set-index bits.
 	tagShift uint
-	access   int
-	tick     uint64
+	// access is the table read latency (taken-branch fetch bubbles).
+	access int
 }
 
 // NewBHT builds a table with the given geometry.
@@ -42,78 +41,36 @@ func NewBHT(g config.BHTGeometry) *BHT {
 		panic(err)
 	}
 	nsets := g.Entries / g.Ways
-	sets := make([][]entry, nsets)
-	backing := make([]entry, g.Entries)
-	for i := range sets {
-		sets[i], backing = backing[:g.Ways:g.Ways], backing[g.Ways:]
-	}
 	return &BHT{
-		sets:     sets,
+		entries:  assoc.New[entry](nsets, g.Ways),
 		setMask:  uint64(nsets - 1),
 		tagShift: uint(bits.TrailingZeros(uint(nsets))),
 		access:   g.AccessCycles,
 	}
 }
 
-// AccessCycles returns the table read latency (taken-branch fetch bubbles).
-func (b *BHT) AccessCycles() int { return b.access }
-
 func (b *BHT) index(pc uint64) (set uint64, tag uint64) {
 	line := pc >> 2
 	return line & b.setMask, line >> b.tagShift
 }
 
-// Lookup predicts the branch at pc. hit reports whether the table holds an
-// entry; when !hit the static prediction (not taken) applies.
-func (b *BHT) Lookup(pc uint64) (taken bool, target uint64, hit bool) {
-	set, tag := b.index(pc)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
-			b.tick++
-			e.lru = b.tick
-			return e.counter >= 2, e.target, true
+// train applies an outcome to e, the entry for (set, tag) or nil when the
+// table has none. Entries are allocated on taken branches (a never-taken
+// branch costs nothing to predict statically), evicting the LRU way.
+func (b *BHT) train(e *entry, set, tag uint64, taken bool, target uint64) {
+	switch {
+	case e == nil && taken:
+		e, _, _, _ = b.entries.Insert(set, tag, nil)
+		*e = entry{target: target, counter: 3}
+	case e == nil:
+	case taken:
+		if e.counter < 3 {
+			e.counter++
 		}
+		e.target = target
+	case e.counter > 0:
+		e.counter--
 	}
-	return false, 0, false
-}
-
-// Update trains the table with the architected outcome. Entries are
-// allocated on taken branches (a never-taken branch costs nothing to
-// predict statically).
-func (b *BHT) Update(pc uint64, taken bool, target uint64) {
-	set, tag := b.index(pc)
-	ways := b.sets[set]
-	for i := range ways {
-		e := &ways[i]
-		if e.valid && e.tag == tag {
-			if taken {
-				if e.counter < 3 {
-					e.counter++
-				}
-				e.target = target
-			} else if e.counter > 0 {
-				e.counter--
-			}
-			return
-		}
-	}
-	if !taken {
-		return
-	}
-	// Allocate, evicting the LRU way.
-	victim := 0
-	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	b.tick++
-	ways[victim] = entry{tag: tag, target: target, counter: 3, valid: true, lru: b.tick}
 }
 
 // RAS is a fixed-depth return-address stack with wrap-around overwrite on
@@ -125,11 +82,8 @@ type RAS struct {
 	n   int
 }
 
-// NewRAS returns a stack with the given capacity.
+// NewRAS returns a stack with the given capacity (≥ 1, by config.Validate).
 func NewRAS(entries int) *RAS {
-	if entries < 1 {
-		entries = 1
-	}
 	return &RAS{buf: make([]uint64, entries)}
 }
 
@@ -199,9 +153,12 @@ func NewPredictor(bht config.BHTGeometry, rasEntries int) *Predictor {
 // taken/target.
 func (p *Predictor) Conditional(pc uint64, taken bool, target uint64) Outcome {
 	p.Stats.CondBranches++
-	predTaken, predTarget, hit := p.bht.Lookup(pc)
-	if hit {
+	set, tag := p.bht.index(pc)
+	e := p.bht.entries.Lookup(set, tag, true)
+	predTaken, predTarget := false, uint64(0)
+	if e != nil {
 		p.Stats.BHTHits++
+		predTaken, predTarget = e.counter >= 2, e.target
 	}
 	var o Outcome
 	switch {
@@ -210,12 +167,12 @@ func (p *Predictor) Conditional(pc uint64, taken bool, target uint64) Outcome {
 	case taken && predTarget != target:
 		o.Mispredict = true
 	case taken:
-		o.TakenBubbles = p.bht.AccessCycles()
+		o.TakenBubbles = p.bht.access
 	}
 	if o.Mispredict {
 		p.Stats.CondMispredicts++
 	}
-	p.bht.Update(pc, taken, target)
+	p.bht.train(e, set, tag, taken, target)
 	return o
 }
 
@@ -225,7 +182,7 @@ func (p *Predictor) Conditional(pc uint64, taken bool, target uint64) Outcome {
 func (p *Predictor) Call(pc uint64) Outcome {
 	p.Stats.Calls++
 	p.ras.Push(pc + isa.InstrBytes)
-	return Outcome{TakenBubbles: p.bht.AccessCycles()}
+	return Outcome{TakenBubbles: p.bht.access}
 }
 
 // Return processes a return: the RAS supplies the predicted target.
@@ -236,5 +193,5 @@ func (p *Predictor) Return(target uint64) Outcome {
 		p.Stats.ReturnMispredicts++
 		return Outcome{Mispredict: true}
 	}
-	return Outcome{TakenBubbles: p.bht.AccessCycles()}
+	return Outcome{TakenBubbles: p.bht.access}
 }

@@ -13,32 +13,50 @@ func smallGeo() config.BHTGeometry {
 	return config.BHTGeometry{Entries: 64, Ways: 2, AccessCycles: 1}
 }
 
+// lookup is the prediction half of Predictor.Conditional: it predicts the
+// branch at pc. hit reports whether the table holds an entry; when !hit
+// the static prediction (not taken) applies.
+func (b *BHT) lookup(pc uint64) (taken bool, target uint64, hit bool) {
+	set, tag := b.index(pc)
+	if e := b.entries.Lookup(set, tag, true); e != nil {
+		return e.counter >= 2, e.target, true
+	}
+	return false, 0, false
+}
+
+// update is the training half: it trains the table with the architected
+// outcome without changing its LRU order.
+func (b *BHT) update(pc uint64, taken bool, target uint64) {
+	set, tag := b.index(pc)
+	b.train(b.entries.Lookup(set, tag, false), set, tag, taken, target)
+}
+
 func TestBHTLearnsTaken(t *testing.T) {
 	b := NewBHT(smallGeo())
 	pc, tgt := uint64(0x1000), uint64(0x2000)
-	if taken, _, hit := b.Lookup(pc); taken || hit {
+	if taken, _, hit := b.lookup(pc); taken || hit {
 		t.Fatal("cold lookup must be a static not-taken miss")
 	}
-	b.Update(pc, true, tgt)
-	taken, target, hit := b.Lookup(pc)
+	b.update(pc, true, tgt)
+	taken, target, hit := b.lookup(pc)
 	if !hit || !taken || target != tgt {
 		t.Fatalf("after one taken update: taken=%v target=%#x hit=%v", taken, target, hit)
 	}
 	// A single not-taken flips the 2-bit counter to weakly-taken, still taken.
-	b.Update(pc, false, 0)
-	if taken, _, _ := b.Lookup(pc); !taken {
+	b.update(pc, false, 0)
+	if taken, _, _ := b.lookup(pc); !taken {
 		t.Fatal("2-bit counter flipped after a single not-taken")
 	}
-	b.Update(pc, false, 0)
-	if taken, _, _ := b.Lookup(pc); taken {
+	b.update(pc, false, 0)
+	if taken, _, _ := b.lookup(pc); taken {
 		t.Fatal("counter still taken after two not-takens")
 	}
 }
 
 func TestBHTNeverAllocatesNotTaken(t *testing.T) {
 	b := NewBHT(smallGeo())
-	b.Update(0x1000, false, 0)
-	if _, _, hit := b.Lookup(0x1000); hit {
+	b.update(0x1000, false, 0)
+	if _, _, hit := b.lookup(0x1000); hit {
 		t.Fatal("not-taken branch allocated an entry")
 	}
 }
@@ -50,11 +68,11 @@ func TestBHTCapacityEviction(t *testing.T) {
 	nsets := uint64(g.Entries / g.Ways)
 	pcs := []uint64{0x1000, 0x1000 + nsets*4, 0x1000 + 2*nsets*4}
 	for _, pc := range pcs {
-		b.Update(pc, true, pc+100)
+		b.update(pc, true, pc+100)
 	}
 	hits := 0
 	for _, pc := range pcs {
-		if _, _, hit := b.Lookup(pc); hit {
+		if _, _, hit := b.lookup(pc); hit {
 			hits++
 		}
 	}
@@ -65,9 +83,9 @@ func TestBHTCapacityEviction(t *testing.T) {
 
 func TestBHTTargetUpdate(t *testing.T) {
 	b := NewBHT(smallGeo())
-	b.Update(0x1000, true, 0x2000)
-	b.Update(0x1000, true, 0x3000) // indirect-style target change
-	_, target, _ := b.Lookup(0x1000)
+	b.update(0x1000, true, 0x2000)
+	b.update(0x1000, true, 0x3000) // indirect-style target change
+	_, target, _ := b.lookup(0x1000)
 	if target != 0x3000 {
 		t.Fatalf("target = %#x, want 0x3000", target)
 	}
@@ -82,12 +100,12 @@ func TestCounterDynamics(t *testing.T) {
 	correct, total := 0, 0
 	for i := 0; i < 10000; i++ {
 		taken := rng.Float64() < 0.95
-		pred, _, _ := b.Lookup(0x4000)
+		pred, _, _ := b.lookup(0x4000)
 		if pred == taken {
 			correct++
 		}
 		total++
-		b.Update(0x4000, taken, 0x5000)
+		b.update(0x4000, taken, 0x5000)
 	}
 	if acc := float64(correct) / float64(total); acc < 0.90 {
 		t.Errorf("biased branch accuracy %.3f < 0.90", acc)
@@ -96,12 +114,12 @@ func TestCounterDynamics(t *testing.T) {
 	correct, total = 0, 0
 	for i := 0; i < 1000; i++ {
 		taken := i%2 == 0
-		pred, _, _ := b.Lookup(0x6000)
+		pred, _, _ := b.lookup(0x6000)
 		if pred == taken {
 			correct++
 		}
 		total++
-		b.Update(0x6000, taken, 0x7000)
+		b.update(0x6000, taken, 0x7000)
 	}
 	if acc := float64(correct) / float64(total); acc > 0.6 {
 		t.Errorf("alternating branch accuracy %.3f suspiciously high", acc)
@@ -310,4 +328,75 @@ func TestRASOverflowWraps(t *testing.T) {
 // mispredictions per predicted branch.
 func failureRate(s *Stats) float64 {
 	return float64(s.Mispredicts()) / float64(s.Branches())
+}
+
+// Property: the BHT's predictions match a brute-force LRU reference model
+// over arbitrary lookup/update sequences: lookups refresh an entry's rank,
+// updates train it in place, and a taken miss allocates over the LRU way.
+func TestLRUMatchesReferenceQuick(t *testing.T) {
+	type refEntry struct {
+		line, target uint64
+		counter      uint8
+	}
+	g := config.BHTGeometry{Entries: 32, Ways: 4, AccessCycles: 1}
+	nsets := uint64(g.Entries / g.Ways)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBHT(g)
+		ref := make([][]refEntry, nsets) // per set, MRU first
+		for i := 0; i < 5000; i++ {
+			line := uint64(rng.Intn(96))
+			pc := line << 2
+			set := line & (nsets - 1)
+			j := 0
+			for j < len(ref[set]) && ref[set][j].line != line {
+				j++
+			}
+			hit := j < len(ref[set])
+			if rng.Intn(2) == 0 {
+				taken, target, gotHit := b.lookup(pc)
+				var want refEntry
+				if hit {
+					want = ref[set][j]
+					copy(ref[set][1:j+1], ref[set][:j])
+					ref[set][0] = want
+				}
+				if gotHit != hit || hit && (taken != (want.counter >= 2) || target != want.target) {
+					t.Logf("seed %d op %d: Lookup(%#x) = %v %#x %v, reference %+v hit=%v",
+						seed, i, pc, taken, target, gotHit, want, hit)
+					return false
+				}
+				continue
+			}
+			taken, target := rng.Intn(3) != 0, uint64(rng.Intn(4))<<8
+			b.update(pc, taken, target)
+			switch {
+			case hit && taken:
+				e := &ref[set][j]
+				e.counter = min(e.counter+1, 3)
+				e.target = target
+			case hit:
+				e := &ref[set][j]
+				e.counter -= min(e.counter, 1)
+			case taken:
+				ref[set] = append([]refEntry{{line: line, target: target, counter: 3}}, ref[set]...)
+				if len(ref[set]) > g.Ways {
+					ref[set] = ref[set][:g.Ways]
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNewBHTAllocs pins the table's layout: the BHT and one backing array
+// for every way, with no per-set slice headers.
+func TestNewBHTAllocs(t *testing.T) {
+	g := config.Base().BHT
+	if n := testing.AllocsPerRun(10, func() { NewBHT(g) }); n != 2 {
+		t.Errorf("NewBHT made %v allocations, want 2", n)
+	}
 }

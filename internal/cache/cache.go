@@ -10,7 +10,9 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
+	"sparc64v/internal/assoc"
 	"sparc64v/internal/config"
 )
 
@@ -42,15 +44,11 @@ func (s State) Writable() bool { return s == Exclusive || s == Modified }
 
 // Line is one cache line's bookkeeping.
 type Line struct {
-	// Tag is the line address (addr >> lineShift) — the full line number,
-	// not just the tag bits, which keeps back-probes trivial.
-	Tag uint64
-	// State is the coherence state; Invalid lines are free.
+	// State is the coherence state; a present line is never Invalid.
 	State State
 	// Prefetched marks lines brought in by the hardware prefetcher and not
 	// yet demanded (for the Figure 17 pollution accounting).
 	Prefetched bool
-	lru        uint64
 }
 
 // Stats counts cache activity, split demand vs prefetch as the Figure 17
@@ -68,12 +66,13 @@ type Stats struct {
 	PrefetchedEvictedUnused uint64
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. Lines are
+// tagged with their full line number (addr >> lineShift), not just the tag
+// bits, which keeps back-probes trivial.
 type Cache struct {
-	sets      [][]Line
+	lines     assoc.Table[Line]
 	setMask   uint64
 	lineShift uint
-	tick      uint64
 	// VictimFilter, when set, is consulted during eviction: lines for
 	// which it returns true are avoided if any other way is evictable.
 	// An inclusive L2 uses it to protect lines with L1 copies (presence
@@ -88,18 +87,10 @@ func New(geo config.CacheGeometry) *Cache {
 	if err := geo.Validate(); err != nil {
 		panic(err)
 	}
-	shift := uint(0)
-	for 1<<shift < geo.LineBytes {
-		shift++
-	}
 	nsets := geo.Sets()
-	sets := make([][]Line, nsets)
-	backing := make([]Line, nsets*geo.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:geo.Ways:geo.Ways], backing[geo.Ways:]
-	}
-	return &Cache{sets: sets,
-		setMask: faultedSetMask(uint64(nsets - 1)), lineShift: shift}
+	return &Cache{lines: assoc.New[Line](nsets, geo.Ways),
+		setMask:   faultedSetMask(uint64(nsets - 1)),
+		lineShift: uint(bits.TrailingZeros(uint(geo.LineBytes)))}
 }
 
 // LineAddr returns the line number containing addr.
@@ -108,24 +99,11 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 // LineShift returns log2(line size).
 func (c *Cache) LineShift() uint { return c.lineShift }
 
-func (c *Cache) set(lineAddr uint64) []Line { return c.sets[lineAddr&c.setMask] }
-
 // Lookup finds the line containing addr without recording statistics.
 // It returns nil when absent. The LRU stamp is refreshed when touch is set.
 func (c *Cache) Lookup(addr uint64, touch bool) *Line {
-	lineAddr := c.LineAddr(addr)
-	set := c.set(lineAddr)
-	for i := range set {
-		l := &set[i]
-		if l.State != Invalid && l.Tag == lineAddr {
-			if touch {
-				c.tick++
-				l.lru = c.tick
-			}
-			return l
-		}
-	}
-	return nil
+	lineAddr := addr >> c.lineShift
+	return c.lines.Lookup(lineAddr&c.setMask, lineAddr, touch)
 }
 
 // Access performs a demand lookup with statistics. It returns the line on
@@ -178,98 +156,57 @@ func (c *Cache) Fill(addr uint64, st State, prefetched bool) (ev Eviction, evict
 		panic("cache: Fill with Invalid state")
 	}
 	lineAddr := c.LineAddr(addr)
-	set := c.set(lineAddr)
-	victim := -1
-	for i := range set {
-		l := &set[i]
-		if l.State != Invalid && l.Tag == lineAddr {
-			l.State = st
-			if !prefetched {
-				l.Prefetched = false
-			}
-			return Eviction{}, false
-		}
-		if l.State == Invalid && victim < 0 {
-			victim = i
-		}
+	l, present, victim, evicted := c.lines.Insert(lineAddr&c.setMask, lineAddr, c.VictimFilter)
+	if present {
+		l.State, l.Prefetched = st, l.Prefetched && prefetched
+		return Eviction{}, false
 	}
-	if victim < 0 {
-		victim = c.pickVictim(set)
-		v := &set[victim]
-		ev = Eviction{LineAddr: v.Tag, State: v.State, Prefetched: v.Prefetched}
-		evicted = true
-		if v.State.Dirty() {
+	if evicted {
+		ev = Eviction{LineAddr: victim, State: l.State, Prefetched: l.Prefetched}
+		if l.State.Dirty() {
 			c.Stats.Writebacks++
 		}
-		if v.Prefetched {
+		if l.Prefetched {
 			c.Stats.PrefetchedEvictedUnused++
 		}
 	}
-	c.tick++
-	set[victim] = Line{Tag: lineAddr, State: st, Prefetched: prefetched, lru: c.tick}
+	*l = Line{State: st, Prefetched: prefetched}
 	return ev, evicted
-}
-
-// pickVictim selects the LRU way, preferring ways the VictimFilter does
-// not protect.
-func (c *Cache) pickVictim(set []Line) int {
-	victim, protected := -1, -1
-	for i := range set {
-		if c.VictimFilter != nil && c.VictimFilter(set[i].Tag) {
-			if protected < 0 || set[i].lru < set[protected].lru {
-				protected = i
-			}
-			continue
-		}
-		if victim < 0 || set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return protected // every way protected: fall back to LRU
-	}
-	return victim
 }
 
 // Invalidate removes the line containing addr, returning its former state
 // (Invalid when it was absent). Used for snoop invalidations and L1
 // back-invalidation on L2 eviction.
 func (c *Cache) Invalidate(addr uint64) State {
-	l := c.Lookup(addr, false)
-	if l == nil {
-		return Invalid
-	}
-	st := l.State
-	l.State = Invalid
-	return st
+	lineAddr := c.LineAddr(addr)
+	l, _ := c.lines.Remove(lineAddr&c.setMask, lineAddr)
+	return l.State
 }
 
 // SetState downgrades/upgrades the line containing addr (snoop responses).
-// It is a no-op when the line is absent.
+// It is a no-op when the line is absent. st is never Invalid: Invalidate
+// removes a line.
 func (c *Cache) SetState(addr uint64, st State) {
 	if l := c.Lookup(addr, false); l != nil {
 		l.State = st
 	}
 }
 
-// CheckInvariants verifies structural invariants (tests): no duplicate tags
-// within a set, all valid tags map to their set.
-func (c *Cache) CheckInvariants() error {
-	for si, set := range c.sets {
-		seen := map[uint64]bool{}
-		for i := range set {
-			l := &set[i]
-			if l.State == Invalid {
-				continue
-			}
-			if seen[l.Tag] {
-				return fmt.Errorf("cache: duplicate tag %#x in set %d", l.Tag, si)
-			}
-			seen[l.Tag] = true
-			if l.Tag&c.setMask != uint64(si) {
-				return fmt.Errorf("cache: tag %#x in wrong set %d", l.Tag, si)
-			}
+// CheckInvariants verifies structural invariants (tests): every present
+// line has a valid state and maps to its set, and no tag repeats.
+func (c *Cache) CheckInvariants() (err error) {
+	seen := map[uint64]bool{}
+	c.lines.Each(func(set, tag uint64, l *Line) {
+		switch {
+		case err != nil:
+		case l.State == Invalid:
+			err = fmt.Errorf("cache: tag %#x in set %d present but Invalid", tag, set)
+		case seen[tag]:
+			err = fmt.Errorf("cache: duplicate tag %#x in set %d", tag, set)
+		case tag&c.setMask != set:
+			err = fmt.Errorf("cache: tag %#x in wrong set %d", tag, set)
 		}
-	}
-	return nil
+		seen[tag] = true
+	})
+	return err
 }

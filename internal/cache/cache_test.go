@@ -391,3 +391,12 @@ func TestLRUMatchesReferenceQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewAllocs pins the cache's layout: the Cache and one backing array
+// for every way, with no per-set slice headers.
+func TestNewAllocs(t *testing.T) {
+	g := config.Base().Mem.L2
+	if n := testing.AllocsPerRun(10, func() { New(g) }); n != 2 {
+		t.Errorf("New made %v allocations, want 2", n)
+	}
+}

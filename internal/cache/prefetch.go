@@ -1,5 +1,7 @@
 package cache
 
+import "sparc64v/internal/assoc"
+
 // Prefetcher implements the SPARC64 V L2 hardware prefetch (section 3.4):
 // triggered by an L1 cache miss, it brings lines the workload is expected
 // to demand soon into the L2. There is no prefetch buffer (the designers
@@ -12,18 +14,17 @@ package cache
 // pattern of memory addresses" (pointer chases laid out in order) the
 // paper says the algorithm fits.
 type Prefetcher struct {
-	table   []pfEntry
+	table   assoc.Table[pfEntry]
 	mask    uint64
 	degree  int
 	stride  bool
 	scratch []uint64
 }
 
+// pfEntry is one region's stride state, tagged with the region number.
 type pfEntry struct {
-	region   uint64
 	lastLine uint64
 	stride   int64
-	valid    bool
 }
 
 // regionShift groups miss addresses into 4KB regions for stride detection.
@@ -31,19 +32,10 @@ const regionShift = 12
 
 // NewPrefetcher builds a prefetcher issuing up to degree lines per trigger;
 // stride enables the stride detector (next-line only otherwise). The table
-// has entries slots (rounded down to a power of two).
+// is direct mapped with entries slots (a power of two, by config.Validate).
 func NewPrefetcher(degree int, stride bool, entries int) *Prefetcher {
-	if degree < 1 {
-		degree = 1
-	}
-	if entries < 1 {
-		entries = 1
-	}
-	for entries&(entries-1) != 0 {
-		entries &= entries - 1
-	}
 	return &Prefetcher{
-		table:   make([]pfEntry, entries),
+		table:   assoc.New[pfEntry](entries, 1),
 		mask:    uint64(entries - 1),
 		degree:  degree,
 		stride:  stride,
@@ -59,8 +51,8 @@ func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {
 	step := int64(1)
 	if p.stride {
 		region := lineAddr >> (regionShift - 6)
-		e := &p.table[region&p.mask]
-		if e.valid && e.region == region {
+		e, present, _, _ := p.table.Insert(region&p.mask, region, nil)
+		if present {
 			if d := int64(lineAddr) - int64(e.lastLine); d != 0 && d == e.stride {
 				step = d // confirmed stride
 			} else if d != 0 {
@@ -68,7 +60,7 @@ func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {
 			}
 			e.lastLine = lineAddr
 		} else {
-			*e = pfEntry{region: region, lastLine: lineAddr, stride: 1, valid: true}
+			*e = pfEntry{lastLine: lineAddr, stride: 1}
 		}
 	}
 	next := int64(lineAddr)

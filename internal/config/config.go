@@ -47,10 +47,10 @@ func (g CacheGeometry) Validate() error {
 		return fmt.Errorf("config: size %d not divisible by ways*line (%d*%d)",
 			g.SizeBytes, g.Ways, g.LineBytes)
 	}
-	if s := g.Sets(); s&(s-1) != 0 {
+	if s := g.Sets(); !pow2(s) {
 		return fmt.Errorf("config: set count %d not a power of two", s)
 	}
-	if g.LineBytes&(g.LineBytes-1) != 0 {
+	if !pow2(g.LineBytes) {
 		return fmt.Errorf("config: line size %d not a power of two", g.LineBytes)
 	}
 	if g.HitCycles < 1 {
@@ -76,7 +76,7 @@ func (g BHTGeometry) Validate() error {
 	if g.Entries <= 0 || g.Ways <= 0 || g.Entries%g.Ways != 0 {
 		return fmt.Errorf("config: bad BHT geometry %+v", g)
 	}
-	if s := g.Entries / g.Ways; s&(s-1) != 0 {
+	if s := g.Entries / g.Ways; !pow2(s) {
 		return fmt.Errorf("config: BHT set count %d not a power of two", s)
 	}
 	if g.AccessCycles < 1 {
@@ -94,6 +94,20 @@ type TLBGeometry struct {
 	// MissPenalty is the refill cost in cycles (trap-style software walk).
 	MissPenalty int
 }
+
+// Validate checks the geometry. Up to 16 entries the TLB is fully
+// associative; above that it is 8-way, with a power-of-two set count.
+func (g TLBGeometry) Validate() error {
+	if g.Entries < 1 || g.Entries > 16 && (g.Entries%8 != 0 || !pow2(g.Entries/8)) ||
+		!pow2(g.PageBytes) || g.MissPenalty < 0 {
+		return fmt.Errorf("config: bad TLB geometry %+v: want 1 to 16 or 8×2^k entries, "+
+			"a power-of-two page size and a miss penalty ≥ 0", g)
+	}
+	return nil
+}
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // CPUParams configures the out-of-order core.
 type CPUParams struct {
@@ -349,8 +363,17 @@ func (c *Config) Validate() error {
 	if c.L1I.LineBytes != c.Mem.L2.LineBytes || c.L1D.LineBytes != c.Mem.L2.LineBytes {
 		return fmt.Errorf("config: L1/L2 line sizes must match (inclusion)")
 	}
-	if err := c.BHT.Validate(); err != nil {
-		return err
+	for _, err := range []error{c.BHT.Validate(), c.ITLB.Validate(), c.DTLB.Validate()} {
+		if err != nil {
+			return err
+		}
+	}
+	if c.RASEntries < 1 {
+		return fmt.Errorf("config: RAS entries %d < 1", c.RASEntries)
+	}
+	if m := c.Mem; m.Prefetch && (m.PrefetchDegree < 1 || !pow2(m.PrefetchTableEntries)) {
+		return fmt.Errorf("config: prefetch degree %d < 1 or table entries %d not a power of two",
+			m.PrefetchDegree, m.PrefetchTableEntries)
 	}
 	if c.Fidelity.FlatMemory && c.Fidelity.FlatMemoryCycles < 1 {
 		return fmt.Errorf("config: flat memory needs a latency")

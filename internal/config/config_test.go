@@ -102,6 +102,15 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.BHT.Ways = 3 },               // bad BHT
 		func(c *Config) { c.L1I.LineBytes = 32 },         // line mismatch
 		func(c *Config) { c.Fidelity.FlatMemory = true }, // no flat latency
+		func(c *Config) { c.ITLB.Entries = 0 },
+		func(c *Config) { c.DTLB.Entries = 24 },     // 8-way, 3 sets
+		func(c *Config) { c.DTLB.PageBytes = 3000 }, // non power of two
+		func(c *Config) { c.ITLB.PageBytes = 0 },
+		func(c *Config) { c.DTLB.MissPenalty = -1 },
+		func(c *Config) { c.RASEntries = 0 },
+		func(c *Config) { c.Mem.PrefetchDegree = 0 },
+		func(c *Config) { c.Mem.PrefetchTableEntries = 48 },
+		func(c *Config) { c.Mem.PrefetchTableEntries = 0 },
 	}
 	for i, mutate := range cases {
 		c := Base()
@@ -109,6 +118,50 @@ func TestValidateCatchesErrors(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid config", i)
 		}
+	}
+}
+
+// TestVariantsValidate: every preset and study variant is a valid machine.
+func TestVariantsValidate(t *testing.T) {
+	base := Base()
+	for _, c := range []Config{
+		base,
+		base.WithCPUs(16),
+		base.WithIssueWidth(2),
+		base.WithSmallBHT(),
+		base.WithSmallL1(),
+		base.WithL1Capacity(32<<10, 2),
+		base.WithOffChipL2(1),
+		base.WithOffChipL2(2),
+		base.WithoutPrefetch(),
+		base.WithOneRS(),
+		base.WithPerfect(Perfect{Branch: true}),
+		base.WithFidelity(FullFidelity(), false),
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", c.Name, err)
+		}
+	}
+}
+
+// TestTLBGeometryValidate: up to 16 entries any count is valid (fully
+// associative); above that the 8-way set count must be a power of two.
+// With the prefetcher off its table geometry is not checked.
+func TestTLBGeometryValidate(t *testing.T) {
+	for _, n := range []int{1, 2, 6, 16, 32, 64, 256, 1024} {
+		if err := (TLBGeometry{Entries: n, PageBytes: 8 << 10}).Validate(); err != nil {
+			t.Errorf("%d entries: %v", n, err)
+		}
+	}
+	for _, n := range []int{-8, 0, 17, 24, 48, 100} {
+		if (TLBGeometry{Entries: n, PageBytes: 8 << 10}).Validate() == nil {
+			t.Errorf("%d entries accepted", n)
+		}
+	}
+	c := Base().WithoutPrefetch()
+	c.Mem.PrefetchDegree, c.Mem.PrefetchTableEntries = 0, 0
+	if err := c.Validate(); err != nil {
+		t.Errorf("prefetcher off: %v", err)
 	}
 }
 

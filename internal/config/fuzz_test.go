@@ -23,6 +23,10 @@ func FuzzConfigOverlay(f *testing.F) {
 		`{"CPUs":4} {"CPUs":8}`,
 		`{"NoSuchKnob": 1}`,
 		`{"CPUs": -1}`,
+		`{"ITLB": {"Entries": 0}}`,
+		`{"DTLB": {"PageBytes": 3000}}`,
+		`{"RASEntries": -1}`,
+		`{"Mem": {"PrefetchDegree": 0, "PrefetchTableEntries": 48}}`,
 		`null`,
 		`[]`,
 		``,

@@ -43,6 +43,10 @@ func FuzzRunRequest(f *testing.F) {
 		`{"workload":"specint95","insts":-1}`,
 		`{"workload":"specint95","cpus":-3}`,
 		`{"workload":"specint95","unknown":1}`,
+		`{"workload":"specint95","config":{"ITLB":{"Entries":0}}}`,
+		`{"workload":"specint95","config":{"DTLB":{"PageBytes":3000}}}`,
+		`{"workload":"specint95","config":{"RASEntries":-1}}`,
+		`{"workload":"specint95","config":{"Mem":{"PrefetchDegree":0,"PrefetchTableEntries":48}}}`,
 		`not json`,
 		``,
 	} {

@@ -194,6 +194,15 @@ func TestRunOverlayRejection(t *testing.T) {
 		{"negative L2 ways", `{"Mem": {"L2": {"SizeBytes": 2097152, "Ways": -4, "LineBytes": 64, "HitCycles": 21}}}`},
 		{"zero issue width", `{"CPU": {"IssueWidth": 0}}`},
 		{"BHT sets not a power of two", `{"BHT": {"Entries": 12288, "Ways": 2, "AccessCycles": 1}}`},
+		// Regression: bad TLB geometry panicked in the handler (the
+		// connection dropped), and a negative RAS depth ran as one entry.
+		{"zero ITLB entries", `{"ITLB": {"Entries": 0}}`},
+		{"DTLB page size not a power of two", `{"DTLB": {"PageBytes": 3000}}`},
+		{"DTLB sets not a power of two", `{"DTLB": {"Entries": 24}}`},
+		{"negative TLB miss penalty", `{"ITLB": {"MissPenalty": -1}}`},
+		{"negative RAS entries", `{"RASEntries": -1}`},
+		{"zero prefetch degree", `{"Mem": {"PrefetchDegree": 0}}`},
+		{"prefetch table not a power of two", `{"Mem": {"PrefetchTableEntries": 48}}`},
 	} {
 		body := fmt.Sprintf(`{"workload":"specint95","insts":1000,"config":%s}`, tc.overlay)
 		resp, b := postRun(t, ts.URL, body)

@@ -10,27 +10,22 @@
 package tlb
 
 import (
-	"fmt"
+	"math/bits"
 
+	"sparc64v/internal/assoc"
 	"sparc64v/internal/config"
 )
-
-type entry struct {
-	vpn   uint64
-	valid bool
-	lru   uint64
-}
 
 // TLB is a translation buffer with LRU replacement within each set,
 // matching the reach/penalty parameters in config.TLBGeometry. Small TLBs
 // (≤16 entries) are fully associative; larger ones are organized as 8-way
-// sets so that lookups stay O(ways) on the simulator's hot path.
+// sets so that lookups stay O(ways) on the simulator's hot path. The
+// virtual page number is the tag; a way holds nothing else.
 type TLB struct {
-	sets      [][]entry
+	pages     assoc.Table[struct{}]
 	setMask   uint64
 	pageShift uint
 	penalty   int
-	tick      uint64
 	// Stats
 	Accesses uint64
 	Misses   uint64
@@ -38,34 +33,18 @@ type TLB struct {
 
 // New builds a TLB from its geometry.
 func New(g config.TLBGeometry) *TLB {
-	if g.Entries < 1 || g.PageBytes < 1 || g.PageBytes&(g.PageBytes-1) != 0 {
-		panic(fmt.Sprintf("tlb: bad geometry %+v", g))
-	}
-	shift := uint(0)
-	for 1<<shift < g.PageBytes {
-		shift++
+	if err := g.Validate(); err != nil {
+		panic(err)
 	}
 	ways := 8
 	if g.Entries <= 16 {
 		ways = g.Entries
 	}
 	nsets := g.Entries / ways
-	if nsets < 1 {
-		nsets = 1
-	}
-	// Round the set count down to a power of two for masking.
-	for nsets&(nsets-1) != 0 {
-		nsets &= nsets - 1
-	}
-	sets := make([][]entry, nsets)
-	backing := make([]entry, nsets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways:ways], backing[ways:]
-	}
 	return &TLB{
-		sets:      sets,
+		pages:     assoc.New[struct{}](nsets, ways),
 		setMask:   uint64(nsets - 1),
-		pageShift: shift,
+		pageShift: uint(bits.TrailingZeros(uint(g.PageBytes))),
 		penalty:   g.MissPenalty,
 	}
 }
@@ -76,23 +55,11 @@ func New(g config.TLBGeometry) *TLB {
 func (t *TLB) Access(addr uint64) int {
 	t.Accesses++
 	vpn := addr >> t.pageShift
-	set := t.sets[vpn&t.setMask]
-	t.tick++
-	victim := 0
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.vpn == vpn {
-			e.lru = t.tick
-			return 0
-		}
-		if !set[victim].valid {
-			continue
-		}
-		if !e.valid || e.lru < set[victim].lru {
-			victim = i
-		}
+	set := vpn & t.setMask
+	if t.pages.Lookup(set, vpn, true) != nil {
+		return 0
 	}
 	t.Misses++
-	set[victim] = entry{vpn: vpn, valid: true, lru: t.tick}
+	t.pages.Insert(set, vpn, nil)
 	return t.penalty
 }

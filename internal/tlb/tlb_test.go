@@ -3,6 +3,7 @@ package tlb
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"sparc64v/internal/config"
 )
@@ -75,4 +76,54 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(config.TLBGeometry{Entries: 8, PageBytes: 3000})
+}
+
+// Property: hits and misses match a brute-force LRU reference model, for
+// a fully associative TLB and for an 8-way set-associative one.
+func TestLRUMatchesReferenceQuick(t *testing.T) {
+	for _, entries := range []int{6, 64} {
+		ways := min(entries, 8)
+		nsets := uint64(entries / ways)
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tl := New(geo(entries))
+			ref := make([][]uint64, nsets) // per set, MRU first
+			for i := 0; i < 5000; i++ {
+				vpn := uint64(rng.Intn(3 * entries))
+				set := vpn & (nsets - 1)
+				j := 0
+				for j < len(ref[set]) && ref[set][j] != vpn {
+					j++
+				}
+				hit := j < len(ref[set])
+				if hit {
+					copy(ref[set][1:j+1], ref[set][:j])
+					ref[set][0] = vpn
+				} else {
+					ref[set] = append([]uint64{vpn}, ref[set]...)
+					if len(ref[set]) > ways {
+						ref[set] = ref[set][:ways]
+					}
+				}
+				if p := tl.Access(vpn<<13 | uint64(rng.Intn(8<<10))); (p == 0) != hit {
+					t.Logf("%d entries, seed %d access %d vpn %d: penalty %d, reference hit=%v",
+						entries, seed, i, vpn, p, hit)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("%d entries: %v", entries, err)
+		}
+	}
+}
+
+// TestNewAllocs pins the TLB's layout: the TLB and one backing array for
+// every way, with no per-set slice headers.
+func TestNewAllocs(t *testing.T) {
+	g := config.Base().DTLB
+	if n := testing.AllocsPerRun(10, func() { New(g) }); n != 2 {
+		t.Errorf("New made %v allocations, want 2", n)
+	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Benchmark regression gate over the scheduler, run-cache, placement,
-# run-key and predictor micro-benchmarks (the paths every simulation
+# run-key, predictor and cache micro-benchmarks (the paths every simulation
 # request crosses).
 #
 # Runs `go test -bench . -benchmem -count $BENCH_COUNT` (default 5), takes
@@ -26,7 +26,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload ./internal/config ./internal/server ./internal/bpred"
+PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload ./internal/config ./internal/server ./internal/bpred ./internal/cache"
 COUNT="${BENCH_COUNT:-5}"
 NS_TOL="${BENCH_NS_TOLERANCE:-75}"
 ALLOC_TOL="${BENCH_ALLOC_TOLERANCE:-15}"
