@@ -30,8 +30,8 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark regression gate (scripts/benchdiff.sh): median-of-5 sched and
-# runcache micro-benchmarks vs scripts/bench_baseline.json. allocs/op is a
-# tight machine-independent gate (±15%); ns/op is loose by default
+# runcache micro-benchmarks vs scripts/bench_baseline.json. allocs/op and
+# B/op are a tight machine-independent gate (±15%); ns/op is loose by default
 # (BENCH_NS_TOLERANCE=75) to survive noisy CI hosts. bench-baseline
 # rewrites the baseline after an intended change.
 benchdiff:

@@ -18,16 +18,14 @@ import (
 	"sparc64v/internal/isa"
 )
 
-// entry is one branch's prediction state, tagged by BHT.index.
-type entry struct {
-	target  uint64
-	counter uint8 // 2-bit saturating: 0,1 not-taken; 2,3 taken
-}
-
-// BHT is a tagged, set-associative branch history table.
+// BHT is a tagged, set-associative branch history table. Each way holds
+// a branch's stored target and its 2-bit saturating counter (0, 1 predict
+// not taken; 2, 3 taken), under the way's index in tags.
 type BHT struct {
-	entries assoc.Table[entry]
-	setMask uint64
+	tags     assoc.Table
+	targets  []uint64
+	counters []uint8
+	setMask  uint64
 	// tagShift is log2 of the set count: the tag is the line number
 	// above the set-index bits.
 	tagShift uint
@@ -42,7 +40,9 @@ func NewBHT(g config.BHTGeometry) *BHT {
 	}
 	nsets := g.Entries / g.Ways
 	return &BHT{
-		entries:  assoc.New[entry](nsets, g.Ways),
+		tags:     assoc.New(nsets, g.Ways),
+		targets:  make([]uint64, g.Entries),
+		counters: make([]uint8, g.Entries),
 		setMask:  uint64(nsets - 1),
 		tagShift: uint(bits.TrailingZeros(uint(nsets))),
 		access:   g.AccessCycles,
@@ -54,23 +54,24 @@ func (b *BHT) index(pc uint64) (set uint64, tag uint64) {
 	return line & b.setMask, line >> b.tagShift
 }
 
-// train applies an outcome to e, the entry for (set, tag) or nil when the
-// table has none. Entries are allocated on taken branches (a never-taken
-// branch costs nothing to predict statically), evicting the LRU way.
-func (b *BHT) train(e *entry, set, tag uint64, taken bool, target uint64) {
-	switch {
-	case e == nil && taken:
-		e, _, _, _ = b.entries.Insert(set, tag, nil)
-		*e = entry{target: target, counter: 3}
-	case e == nil:
-	case taken:
-		if e.counter < 3 {
-			e.counter++
-		}
-		e.target = target
-	case e.counter > 0:
-		e.counter--
+// train applies an outcome to the entry at way i: a taken branch
+// strengthens its counter and stores its target, a not-taken one weakens
+// the counter.
+func (b *BHT) train(i int, taken bool, target uint64) {
+	if taken {
+		b.counters[i] = min(b.counters[i]+1, 3)
+		b.targets[i] = target
+	} else {
+		b.counters[i] -= min(b.counters[i], 1)
 	}
+}
+
+// allocate installs a strongly-taken entry with target for (set, tag),
+// evicting the LRU way. Entries are allocated on taken branches only: a
+// never-taken branch costs nothing to predict statically.
+func (b *BHT) allocate(set, tag, target uint64) {
+	i, _, _, _ := b.tags.Insert(set, tag, nil)
+	b.targets[i], b.counters[i] = target, 3
 }
 
 // RAS is a fixed-depth return-address stack with wrap-around overwrite on
@@ -154,11 +155,12 @@ func NewPredictor(bht config.BHTGeometry, rasEntries int) *Predictor {
 func (p *Predictor) Conditional(pc uint64, taken bool, target uint64) Outcome {
 	p.Stats.CondBranches++
 	set, tag := p.bht.index(pc)
-	e := p.bht.entries.Lookup(set, tag, true)
+	i := p.bht.tags.Lookup(set, tag)
 	predTaken, predTarget := false, uint64(0)
-	if e != nil {
+	if i >= 0 {
+		p.bht.tags.Touch(i)
 		p.Stats.BHTHits++
-		predTaken, predTarget = e.counter >= 2, e.target
+		predTaken, predTarget = p.bht.counters[i] >= 2, p.bht.targets[i]
 	}
 	var o Outcome
 	switch {
@@ -172,7 +174,11 @@ func (p *Predictor) Conditional(pc uint64, taken bool, target uint64) Outcome {
 	if o.Mispredict {
 		p.Stats.CondMispredicts++
 	}
-	p.bht.train(e, set, tag, taken, target)
+	if i >= 0 {
+		p.bht.train(i, taken, target)
+	} else if taken {
+		p.bht.allocate(set, tag, target)
+	}
 	return o
 }
 

@@ -18,8 +18,9 @@ func smallGeo() config.BHTGeometry {
 // the static prediction (not taken) applies.
 func (b *BHT) lookup(pc uint64) (taken bool, target uint64, hit bool) {
 	set, tag := b.index(pc)
-	if e := b.entries.Lookup(set, tag, true); e != nil {
-		return e.counter >= 2, e.target, true
+	if i := b.tags.Lookup(set, tag); i >= 0 {
+		b.tags.Touch(i)
+		return b.counters[i] >= 2, b.targets[i], true
 	}
 	return false, 0, false
 }
@@ -28,7 +29,11 @@ func (b *BHT) lookup(pc uint64) (taken bool, target uint64, hit bool) {
 // outcome without changing its LRU order.
 func (b *BHT) update(pc uint64, taken bool, target uint64) {
 	set, tag := b.index(pc)
-	b.train(b.entries.Lookup(set, tag, false), set, tag, taken, target)
+	if i := b.tags.Lookup(set, tag); i >= 0 {
+		b.train(i, taken, target)
+	} else if taken {
+		b.allocate(set, tag, target)
+	}
 }
 
 func TestBHTLearnsTaken(t *testing.T) {
@@ -392,11 +397,12 @@ func TestLRUMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// TestNewBHTAllocs pins the table's layout: the BHT and one backing array
-// for every way, with no per-set slice headers.
+// TestNewBHTAllocs pins the table's layout: the BHT plus one array each
+// for the tags, the LRU stamps, the targets and the counters, with no
+// per-set slice headers.
 func TestNewBHTAllocs(t *testing.T) {
 	g := config.Base().BHT
-	if n := testing.AllocsPerRun(10, func() { NewBHT(g) }); n != 2 {
-		t.Errorf("NewBHT made %v allocations, want 2", n)
+	if n := testing.AllocsPerRun(10, func() { NewBHT(g) }); n != 5 {
+		t.Errorf("NewBHT made %v allocations, want 5", n)
 	}
 }

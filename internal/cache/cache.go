@@ -70,7 +70,9 @@ type Stats struct {
 // tagged with their full line number (addr >> lineShift), not just the tag
 // bits, which keeps back-probes trivial.
 type Cache struct {
-	lines     assoc.Table[Line]
+	tags assoc.Table
+	// lines holds each way's bookkeeping, under the way's index in tags.
+	lines     []Line
 	setMask   uint64
 	lineShift uint
 	// VictimFilter, when set, is consulted during eviction: lines for
@@ -88,7 +90,8 @@ func New(geo config.CacheGeometry) *Cache {
 		panic(err)
 	}
 	nsets := geo.Sets()
-	return &Cache{lines: assoc.New[Line](nsets, geo.Ways),
+	return &Cache{tags: assoc.New(nsets, geo.Ways),
+		lines:     make([]Line, nsets*geo.Ways),
 		setMask:   faultedSetMask(uint64(nsets - 1)),
 		lineShift: uint(bits.TrailingZeros(uint(geo.LineBytes)))}
 }
@@ -99,22 +102,34 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 // LineShift returns log2(line size).
 func (c *Cache) LineShift() uint { return c.lineShift }
 
-// Lookup finds the line containing addr without recording statistics.
-// It returns nil when absent. The LRU stamp is refreshed when touch is set.
-func (c *Cache) Lookup(addr uint64, touch bool) *Line {
+// way returns the index of the way holding the line containing addr, or
+// -1 when it is absent.
+func (c *Cache) way(addr uint64) int {
 	lineAddr := addr >> c.lineShift
-	return c.lines.Lookup(lineAddr&c.setMask, lineAddr, touch)
+	return c.tags.Lookup(lineAddr&c.setMask, lineAddr)
 }
 
-// Access performs a demand lookup with statistics. It returns the line on
-// a hit and nil on a miss. Prefetched lines are promoted to demanded.
+// Lookup finds the line containing addr without recording statistics or
+// changing the LRU order. It returns nil when absent.
+func (c *Cache) Lookup(addr uint64) *Line {
+	if i := c.way(addr); i >= 0 {
+		return &c.lines[i]
+	}
+	return nil
+}
+
+// Access performs a demand lookup with statistics, making a hit line the
+// most recently used. It returns the line on a hit and nil on a miss.
+// Prefetched lines are promoted to demanded.
 func (c *Cache) Access(addr uint64) *Line {
 	c.Stats.DemandAccesses++
-	l := c.Lookup(addr, true)
-	if l == nil {
+	i := c.way(addr)
+	if i < 0 {
 		c.Stats.DemandMisses++
 		return nil
 	}
+	c.tags.Touch(i)
+	l := &c.lines[i]
 	if l.Prefetched {
 		l.Prefetched = false
 		c.Stats.PrefetchedUseful++
@@ -126,7 +141,7 @@ func (c *Cache) Access(addr uint64) *Line {
 // whether the line is already present (no fetch needed).
 func (c *Cache) AccessPrefetch(addr uint64) bool {
 	c.Stats.PrefetchAccesses++
-	if c.Lookup(addr, false) != nil {
+	if c.way(addr) >= 0 {
 		return true
 	}
 	c.Stats.PrefetchMisses++
@@ -156,7 +171,8 @@ func (c *Cache) Fill(addr uint64, st State, prefetched bool) (ev Eviction, evict
 		panic("cache: Fill with Invalid state")
 	}
 	lineAddr := c.LineAddr(addr)
-	l, present, victim, evicted := c.lines.Insert(lineAddr&c.setMask, lineAddr, c.VictimFilter)
+	i, present, victim, evicted := c.tags.Insert(lineAddr&c.setMask, lineAddr, c.VictimFilter)
+	l := &c.lines[i]
 	if present {
 		l.State, l.Prefetched = st, l.Prefetched && prefetched
 		return Eviction{}, false
@@ -179,15 +195,18 @@ func (c *Cache) Fill(addr uint64, st State, prefetched bool) (ev Eviction, evict
 // back-invalidation on L2 eviction.
 func (c *Cache) Invalidate(addr uint64) State {
 	lineAddr := c.LineAddr(addr)
-	l, _ := c.lines.Remove(lineAddr&c.setMask, lineAddr)
-	return l.State
+	i, ok := c.tags.Remove(lineAddr&c.setMask, lineAddr)
+	if !ok {
+		return Invalid
+	}
+	return c.lines[i].State
 }
 
 // SetState downgrades/upgrades the line containing addr (snoop responses).
 // It is a no-op when the line is absent. st is never Invalid: Invalidate
 // removes a line.
 func (c *Cache) SetState(addr uint64, st State) {
-	if l := c.Lookup(addr, false); l != nil {
+	if l := c.Lookup(addr); l != nil {
 		l.State = st
 	}
 }
@@ -196,7 +215,8 @@ func (c *Cache) SetState(addr uint64, st State) {
 // line has a valid state and maps to its set, and no tag repeats.
 func (c *Cache) CheckInvariants() (err error) {
 	seen := map[uint64]bool{}
-	c.lines.Each(func(set, tag uint64, l *Line) {
+	c.tags.Each(func(set, tag uint64, i int) {
+		l := &c.lines[i]
 		switch {
 		case err != nil:
 		case l.State == Invalid:

@@ -9,7 +9,7 @@ import (
 )
 
 func geo(size, ways int) config.CacheGeometry {
-	return config.CacheGeometry{SizeBytes: size, Ways: ways, LineBytes: 64, HitCycles: 3}
+	return config.CacheGeometry{SizeBytes: size, Ways: ways, LineBytes: 64, HitCycles: 3, MSHRs: 1}
 }
 
 func demandMissRate(s Stats) float64 {
@@ -66,7 +66,7 @@ func TestLRUEviction(t *testing.T) {
 	if !evicted || ev.LineAddr != c.LineAddr(b) {
 		t.Fatalf("eviction = %+v (%v), want line of %#x", ev, evicted, b)
 	}
-	if c.Lookup(a, false) == nil || c.Lookup(d, false) == nil || c.Lookup(b, false) != nil {
+	if c.Lookup(a) == nil || c.Lookup(d) == nil || c.Lookup(b) != nil {
 		t.Fatal("LRU victim selection wrong")
 	}
 }
@@ -93,7 +93,7 @@ func TestFillExistingUpdatesState(t *testing.T) {
 	if evicted {
 		t.Fatal("refill of present line evicted")
 	}
-	if l := c.Lookup(0x1000, false); l == nil || l.State != Modified {
+	if l := c.Lookup(0x1000); l == nil || l.State != Modified {
 		t.Fatalf("state not updated: %+v", l)
 	}
 }
@@ -109,7 +109,7 @@ func TestInvalidateAndSetState(t *testing.T) {
 	}
 	c.Fill(0x3000, Exclusive, false)
 	c.SetState(0x3000, Shared)
-	if l := c.Lookup(0x3000, false); l.State != Shared {
+	if l := c.Lookup(0x3000); l.State != Shared {
 		t.Fatalf("SetState failed: %+v", l)
 	}
 	c.SetState(0x9999000, Shared) // absent: no-op, no panic
@@ -223,7 +223,7 @@ func TestWorkingSetMissBehavior(t *testing.T) {
 // removes (the thrashing argument in section 4.3.3).
 func TestAssociativityConflicts(t *testing.T) {
 	run := func(ways int) float64 {
-		g := config.CacheGeometry{SizeBytes: 8 << 10, Ways: ways, LineBytes: 64, HitCycles: 1}
+		g := config.CacheGeometry{SizeBytes: 8 << 10, Ways: ways, LineBytes: 64, HitCycles: 1, MSHRs: 1}
 		c := New(g)
 		nsets := uint64(g.Sets())
 		// Two addresses mapping to the same set, alternating.
@@ -274,13 +274,23 @@ func TestMSHRs(t *testing.T) {
 	}
 }
 
-func TestMSHRMinimumOne(t *testing.T) {
-	m := NewMSHRs(0)
-	if !m.Allocate(100, 50, 10) {
-		t.Fatal("NewMSHRs(0) has no entry")
+// TestNewMSHRsRejectsNonPositive: a file of fewer than one entry is a
+// configuration error (CacheGeometry.Validate rejects it), not a blocking
+// cache, so the constructor panics instead of running it as one entry.
+func TestNewMSHRsRejectsNonPositive(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMSHRs(%d) did not panic", n)
+				}
+			}()
+			NewMSHRs(n)
+		}()
 	}
-	if m.Allocate(200, 60, 10) {
-		t.Fatal("NewMSHRs(0) has more than one entry")
+	m := NewMSHRs(1)
+	if !m.Allocate(100, 50, 10) || m.Allocate(200, 60, 10) {
+		t.Fatal("NewMSHRs(1) does not hold exactly one entry")
 	}
 }
 
@@ -353,7 +363,7 @@ func TestLRUMatchesReferenceQuick(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := config.CacheGeometry{SizeBytes: 4096, Ways: 4, LineBytes: 64, HitCycles: 1}
+		g := config.CacheGeometry{SizeBytes: 4096, Ways: 4, LineBytes: 64, HitCycles: 1, MSHRs: 1}
 		c := New(g)
 		nsets := uint64(g.Sets())
 		ref := make([]refSet, nsets)
@@ -392,11 +402,11 @@ func TestLRUMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// TestNewAllocs pins the cache's layout: the Cache and one backing array
-// for every way, with no per-set slice headers.
+// TestNewAllocs pins the cache's layout: the Cache plus one array each for
+// the tags, the LRU stamps and the lines, with no per-set slice headers.
 func TestNewAllocs(t *testing.T) {
 	g := config.Base().Mem.L2
-	if n := testing.AllocsPerRun(10, func() { New(g) }); n != 2 {
-		t.Errorf("New made %v allocations, want 2", n)
+	if n := testing.AllocsPerRun(10, func() { New(g) }); n != 4 {
+		t.Errorf("New made %v allocations, want 4", n)
 	}
 }

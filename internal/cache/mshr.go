@@ -1,5 +1,7 @@
 package cache
 
+import "fmt"
+
 // MSHRs model a non-blocking cache's miss-status holding registers: the
 // bound on outstanding line misses. The timing model installs a missing
 // line's state immediately at miss time (the hierarchy computes the fill
@@ -15,10 +17,11 @@ type mshrEntry struct {
 	valid    bool
 }
 
-// NewMSHRs returns a file with n entries (n >= 1).
+// NewMSHRs returns a file with n entries; n < 1, which
+// config.CacheGeometry.Validate rejects, panics.
 func NewMSHRs(n int) *MSHRs {
 	if n < 1 {
-		n = 1
+		panic(fmt.Sprintf("cache: %d MSHRs < 1", n))
 	}
 	return &MSHRs{entries: make([]mshrEntry, n)}
 }

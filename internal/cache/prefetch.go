@@ -14,7 +14,8 @@ import "sparc64v/internal/assoc"
 // pattern of memory addresses" (pointer chases laid out in order) the
 // paper says the algorithm fits.
 type Prefetcher struct {
-	table   assoc.Table[pfEntry]
+	table   assoc.Table
+	entries []pfEntry // under the way's index in table
 	mask    uint64
 	degree  int
 	stride  bool
@@ -35,7 +36,8 @@ const regionShift = 12
 // is direct mapped with entries slots (a power of two, by config.Validate).
 func NewPrefetcher(degree int, stride bool, entries int) *Prefetcher {
 	return &Prefetcher{
-		table:   assoc.New[pfEntry](entries, 1),
+		table:   assoc.New(entries, 1),
+		entries: make([]pfEntry, entries),
 		mask:    uint64(entries - 1),
 		degree:  degree,
 		stride:  stride,
@@ -51,7 +53,8 @@ func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {
 	step := int64(1)
 	if p.stride {
 		region := lineAddr >> (regionShift - 6)
-		e, present, _, _ := p.table.Insert(region&p.mask, region, nil)
+		i, present, _, _ := p.table.Insert(region&p.mask, region, nil)
+		e := &p.entries[i]
 		if present {
 			if d := int64(lineAddr) - int64(e.lastLine); d != 0 && d == e.stride {
 				step = d // confirmed stride

@@ -16,7 +16,7 @@ type fakeChip struct {
 }
 
 func (f *fakeChip) Probe(addr uint64) cache.State {
-	if l := f.l2.Lookup(addr, false); l != nil {
+	if l := f.l2.Lookup(addr); l != nil {
 		return l.State
 	}
 	return cache.Invalid
@@ -35,7 +35,7 @@ func newController(nchips int) (*Controller, []*fakeChip) {
 	chips := make([]*fakeChip, nchips)
 	for i := range chips {
 		chips[i] = &fakeChip{l2: cache.New(config.CacheGeometry{
-			SizeBytes: 64 << 10, Ways: 4, LineBytes: 64, HitCycles: 10})}
+			SizeBytes: 64 << 10, Ways: 4, LineBytes: 64, HitCycles: 10, MSHRs: 1})}
 		ctrl.AttachChip(chips[i])
 	}
 	return ctrl, chips
@@ -159,9 +159,9 @@ func TestLowFidelityC2CTiming(t *testing.T) {
 	dram := mem.NewDRAM(p, true)
 	ctrl := NewController(p, bus, dram, false) // coherence timing off
 	a := &fakeChip{l2: cache.New(config.CacheGeometry{
-		SizeBytes: 8 << 10, Ways: 2, LineBytes: 64, HitCycles: 10})}
+		SizeBytes: 8 << 10, Ways: 2, LineBytes: 64, HitCycles: 10, MSHRs: 1})}
 	b := &fakeChip{l2: cache.New(config.CacheGeometry{
-		SizeBytes: 8 << 10, Ways: 2, LineBytes: 64, HitCycles: 10})}
+		SizeBytes: 8 << 10, Ways: 2, LineBytes: 64, HitCycles: 10, MSHRs: 1})}
 	ctrl.AttachChip(a)
 	ctrl.AttachChip(b)
 	a.l2.Fill(0x100, cache.Modified, false)

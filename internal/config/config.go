@@ -56,6 +56,9 @@ func (g CacheGeometry) Validate() error {
 	if g.HitCycles < 1 {
 		return fmt.Errorf("config: hit latency %d < 1", g.HitCycles)
 	}
+	if g.MSHRs < 1 || g.Banks < 0 {
+		return fmt.Errorf("config: cache needs MSHRs ≥ 1 and banks ≥ 0, got %d and %d", g.MSHRs, g.Banks)
+	}
 	return nil
 }
 
@@ -202,6 +205,34 @@ type MemParams struct {
 	PrefetchStride bool
 	// PrefetchTableEntries sizes the stride detector table.
 	PrefetchTableEntries int
+}
+
+// Validate checks the L2 geometry and every parameter behind it: the DRAM
+// latency and bank busy time are at least a cycle, the bank count is a
+// power of two, the bus moves at least a byte a cycle and a request
+// occupies it at least a cycle, no latency is negative, and an enabled
+// prefetcher has a degree and a power-of-two table.
+func (p MemParams) Validate() error {
+	if err := p.L2.Validate(); err != nil {
+		return err
+	}
+	if p.DRAMCycles < 1 || p.DRAMBankBusy < 1 || !pow2(p.DRAMBanks) {
+		return fmt.Errorf("config: DRAM needs latency and bank busy time ≥ 1 and a power-of-two bank count, "+
+			"got %d, %d and %d banks", p.DRAMCycles, p.DRAMBankBusy, p.DRAMBanks)
+	}
+	if p.BusBytesPerCycle < 1 || p.BusRequestCycles < 1 {
+		return fmt.Errorf("config: bus needs ≥ 1 byte per cycle and request cycles ≥ 1, got %d and %d",
+			p.BusBytesPerCycle, p.BusRequestCycles)
+	}
+	if p.OffChipPenalty < 0 || p.CacheToCacheCycles < 0 {
+		return fmt.Errorf("config: negative off-chip penalty %d or cache-to-cache latency %d",
+			p.OffChipPenalty, p.CacheToCacheCycles)
+	}
+	if p.Prefetch && (p.PrefetchDegree < 1 || !pow2(p.PrefetchTableEntries)) {
+		return fmt.Errorf("config: prefetch degree %d < 1 or table entries %d not a power of two",
+			p.PrefetchDegree, p.PrefetchTableEntries)
+	}
+	return nil
 }
 
 // Fidelity holds the model-fidelity knobs that define the version ladder of
@@ -355,10 +386,27 @@ func (c *Config) Validate() error {
 	if c.CPU.LoadQueueEntries < 1 || c.CPU.StoreQueueEntries < 1 {
 		return fmt.Errorf("config: load/store queues must be non-empty")
 	}
-	for _, g := range []CacheGeometry{c.L1I, c.L1D, c.Mem.L2} {
+	if p := c.CPU; p.FetchBytes < isa.InstrBytes || min(p.FetchBufEntries, p.IntRenameRegs, p.FPRenameRegs,
+		p.RSEEntries, p.RSFEntries, p.RSAEntries, p.RSBREntries) < 1 {
+		return fmt.Errorf("config: core needs a fetch width of at least one instruction and at least "+
+			"one fetch-buffer entry, rename register and station entry of each kind: %+v", p)
+	}
+	if p := c.CPU; min(p.FetchPipeStages, p.DecodeStages, p.StoreForwardCycles, p.ForwardDelay,
+		p.MispredictRedirect, p.SpecialPenalty) < 0 {
+		return fmt.Errorf("config: negative core pipeline depth or latency: %+v", p)
+	}
+	for cl, l := range c.CPU.Latencies {
+		if l.Cycles < 0 {
+			return fmt.Errorf("config: negative %v latency %d", isa.Class(cl), l.Cycles)
+		}
+	}
+	for _, g := range []CacheGeometry{c.L1I, c.L1D} {
 		if err := g.Validate(); err != nil {
 			return err
 		}
+	}
+	if err := c.Mem.Validate(); err != nil {
+		return err
 	}
 	if c.L1I.LineBytes != c.Mem.L2.LineBytes || c.L1D.LineBytes != c.Mem.L2.LineBytes {
 		return fmt.Errorf("config: L1/L2 line sizes must match (inclusion)")
@@ -370,10 +418,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RASEntries < 1 {
 		return fmt.Errorf("config: RAS entries %d < 1", c.RASEntries)
-	}
-	if m := c.Mem; m.Prefetch && (m.PrefetchDegree < 1 || !pow2(m.PrefetchTableEntries)) {
-		return fmt.Errorf("config: prefetch degree %d < 1 or table entries %d not a power of two",
-			m.PrefetchDegree, m.PrefetchTableEntries)
 	}
 	if c.Fidelity.FlatMemory && c.Fidelity.FlatMemoryCycles < 1 {
 		return fmt.Errorf("config: flat memory needs a latency")

@@ -3,6 +3,8 @@ package config
 import (
 	"strings"
 	"testing"
+
+	"sparc64v/internal/isa"
 )
 
 func TestBaseValidates(t *testing.T) {
@@ -111,6 +113,36 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.Mem.PrefetchDegree = 0 },
 		func(c *Config) { c.Mem.PrefetchTableEntries = 48 },
 		func(c *Config) { c.Mem.PrefetchTableEntries = 0 },
+		// A clamp or default used to run each of these as a valid machine
+		// under a key of its own; the core ones hung until the cycle cap.
+		func(c *Config) { c.L1D.MSHRs = 0 },
+		func(c *Config) { c.L1I.MSHRs = -3 },
+		func(c *Config) { c.Mem.L2.MSHRs = 0 },
+		func(c *Config) { c.L1D.Banks = -2 },
+		func(c *Config) { c.Mem.DRAMBanks = 0 },
+		func(c *Config) { c.Mem.DRAMBanks = 6 },
+		func(c *Config) { c.Mem.DRAMCycles = 0 },
+		func(c *Config) { c.Mem.DRAMCycles = -100 },
+		func(c *Config) { c.Mem.DRAMBankBusy = 0 },
+		func(c *Config) { c.Mem.BusBytesPerCycle = 0 },
+		func(c *Config) { c.Mem.BusRequestCycles = 0 },
+		func(c *Config) { c.Mem.OffChipPenalty = -1 },
+		func(c *Config) { c.Mem.CacheToCacheCycles = -1 },
+		func(c *Config) { c.CPU.FetchBytes = 0 },
+		func(c *Config) { c.CPU.FetchBytes = 3 }, // under one instruction
+		func(c *Config) { c.CPU.FetchBufEntries = 0 },
+		func(c *Config) { c.CPU.RSEEntries = 0 },
+		func(c *Config) { c.CPU.RSFEntries = 0 },
+		func(c *Config) { c.CPU.RSAEntries = 0 },
+		func(c *Config) { c.CPU.RSBREntries = 0 },
+		func(c *Config) { c.CPU.IntRenameRegs = 0 },
+		func(c *Config) { c.CPU.FPRenameRegs = -1 },
+		func(c *Config) { c.CPU.ForwardDelay = -1 },
+		func(c *Config) { c.CPU.MispredictRedirect = -2 },
+		func(c *Config) { c.CPU.StoreForwardCycles = -1 },
+		func(c *Config) { c.CPU.SpecialPenalty = -1 },
+		func(c *Config) { c.CPU.FetchPipeStages = -1 },
+		func(c *Config) { c.CPU.Latencies[isa.IntMul].Cycles = -1 },
 	}
 	for i, mutate := range cases {
 		c := Base()
@@ -137,6 +169,8 @@ func TestVariantsValidate(t *testing.T) {
 		base.WithOneRS(),
 		base.WithPerfect(Perfect{Branch: true}),
 		base.WithFidelity(FullFidelity(), false),
+		base.WithFidelity(Fidelity{FlatMemory: true, FlatMemoryCycles: 100}, false),
+		base.WithCPUs(16).WithSmallBHT().WithSmallL1().WithoutPrefetch(),
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)

@@ -30,6 +30,9 @@ func FuzzConfigOverlay(f *testing.F) {
 		`null`,
 		`[]`,
 		``,
+		`{"L1D": {"MSHRs": 0}}`,
+		`{"Mem": {"DRAMBanks": 6, "DRAMCycles": 0}}`,
+		`{"CPU": {"FetchBytes": 0, "ForwardDelay": -1}}`,
 	} {
 		f.Add([]byte(seed))
 	}

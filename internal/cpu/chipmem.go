@@ -71,7 +71,7 @@ func NewChipMem(cfg *config.Config, id int, port SystemPort) *ChipMem {
 	shift := m.L2.LineShift()
 	m.L2.VictimFilter = func(lineAddr uint64) bool {
 		addr := lineAddr << shift
-		return m.L1D.Lookup(addr, false) != nil || m.L1I.Lookup(addr, false) != nil
+		return m.L1D.Lookup(addr) != nil || m.L1I.Lookup(addr) != nil
 	}
 	return m
 }
@@ -169,7 +169,7 @@ func (m *ChipMem) AccessData(addr uint64, store bool, cycle uint64) DataResult {
 
 // storeTouch marks the (just filled or filling) line modified.
 func (m *ChipMem) storeTouch(addr uint64, _ uint64) {
-	if l := m.L1D.Lookup(addr, false); l != nil {
+	if l := m.L1D.Lookup(addr); l != nil {
 		l.State = cache.Modified
 	}
 	m.L2.SetState(addr, cache.Modified)
@@ -293,7 +293,7 @@ func (m *ChipMem) fillL1(l1 *cache.Cache, addr uint64, store bool, _ uint64) {
 	st := cache.Exclusive
 	if store {
 		st = cache.Modified
-	} else if l2 := m.L2.Lookup(addr, false); l2 != nil && l2.State == cache.Shared {
+	} else if l2 := m.L2.Lookup(addr); l2 != nil && l2.State == cache.Shared {
 		st = cache.Shared
 	}
 	ev, evicted := l1.Fill(addr, st, false)
@@ -349,7 +349,7 @@ func (m *ChipMem) prefetch(lineAddr uint64, cycle uint64) {
 
 // Probe returns the L2 state of the line containing addr.
 func (m *ChipMem) Probe(addr uint64) cache.State {
-	if l := m.L2.Lookup(addr, false); l != nil {
+	if l := m.L2.Lookup(addr); l != nil {
 		return l.State
 	}
 	return cache.Invalid

@@ -73,11 +73,11 @@ func TestChipSecondMissToL2HitIsFast(t *testing.T) {
 func TestChipStoreGetsWritableState(t *testing.T) {
 	m, _ := newChip(t, nil)
 	m.AccessData(0x4000, true, 0)
-	l := m.L1D.Lookup(0x4000, false)
+	l := m.L1D.Lookup(0x4000)
 	if l == nil || !l.State.Writable() {
 		t.Fatalf("store line state: %+v", l)
 	}
-	if l2 := m.L2.Lookup(0x4000, false); l2 == nil || l2.State != cache.Modified {
+	if l2 := m.L2.Lookup(0x4000); l2 == nil || l2.State != cache.Modified {
 		t.Fatalf("L2 state after store: %+v", l2)
 	}
 }
@@ -91,7 +91,7 @@ func TestChipUpgradeOnSharedStore(t *testing.T) {
 	if port.upgrades != 1 {
 		t.Fatalf("upgrades = %d", port.upgrades)
 	}
-	if l := m.L1D.Lookup(0x5000, false); l.State != cache.Modified {
+	if l := m.L1D.Lookup(0x5000); l.State != cache.Modified {
 		t.Fatalf("post-upgrade state %v", l.State)
 	}
 }
@@ -118,7 +118,7 @@ func TestChipPrefetchFillsL2(t *testing.T) {
 	m, _ := newChip(t, nil)
 	// A demand miss on line X must prefetch X+1 into the L2.
 	m.AccessData(0x7000, false, 0)
-	if m.L2.Lookup(0x7040, false) == nil {
+	if m.L2.Lookup(0x7040) == nil {
 		t.Fatal("next line not prefetched into L2")
 	}
 	if m.L2.Stats.PrefetchAccesses == 0 {
@@ -127,7 +127,7 @@ func TestChipPrefetchFillsL2(t *testing.T) {
 	// Disabled prefetcher does nothing.
 	m2, _ := newChip(t, func(c *config.Config) { c.Mem.Prefetch = false })
 	m2.AccessData(0x7000, false, 0)
-	if m2.L2.Lookup(0x7040, false) != nil {
+	if m2.L2.Lookup(0x7040) != nil {
 		t.Fatal("prefetch fired while disabled")
 	}
 }
@@ -201,7 +201,7 @@ func TestChipInclusionBackInvalidate(t *testing.T) {
 	violations := 0
 	for i := uint64(0); i < 512; i++ {
 		addr := 0x10000 + i*64
-		if m.L1D.Lookup(addr, false) != nil && m.L2.Lookup(addr, false) == nil {
+		if m.L1D.Lookup(addr) != nil && m.L2.Lookup(addr) == nil {
 			violations++
 		}
 	}
@@ -220,11 +220,11 @@ func TestChipSnoopInterface(t *testing.T) {
 	if st := m.Probe(0xc000); st != cache.Owned {
 		t.Fatalf("after Downgrade: %v", st)
 	}
-	if l1 := m.L1D.Lookup(0xc000, false); l1 == nil || l1.State != cache.Shared {
+	if l1 := m.L1D.Lookup(0xc000); l1 == nil || l1.State != cache.Shared {
 		t.Fatalf("L1 not downgraded: %+v", l1)
 	}
 	m.InvalidateLine(0xc000)
-	if m.Probe(0xc000) != cache.Invalid || m.L1D.Lookup(0xc000, false) != nil {
+	if m.Probe(0xc000) != cache.Invalid || m.L1D.Lookup(0xc000) != nil {
 		t.Fatal("InvalidateLine incomplete")
 	}
 }

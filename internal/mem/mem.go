@@ -47,25 +47,17 @@ type Bus struct {
 	contend bool
 }
 
-// NewBus builds the bus from the memory parameters.
+// NewBus builds the bus from the memory parameters, which must pass
+// p.Validate. A bus narrower than one channel gets one channel.
 func NewBus(p config.MemParams, contend bool) *Bus {
-	bpc := p.BusBytesPerCycle
-	if bpc <= 0 {
-		bpc = 8
-	}
-	nchan := bpc / channelBytes
-	if nchan < 1 {
-		nchan = 1
-	}
-	rb := uint64(p.BusRequestCycles)
-	if rb == 0 {
-		rb = 1
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	nreq := 2
 	return &Bus{
 		req:     make([]Resource, nreq),
-		data:    make([]Resource, nchan),
-		reqBusy: rb,
+		data:    make([]Resource, max(p.BusBytesPerCycle/channelBytes, 1)),
+		reqBusy: uint64(p.BusRequestCycles),
 		contend: contend,
 	}
 }
@@ -121,28 +113,16 @@ type DRAM struct {
 	contend  bool
 }
 
-// NewDRAM builds memory from the parameters.
+// NewDRAM builds memory from the parameters, which must pass p.Validate.
 func NewDRAM(p config.MemParams, contend bool) *DRAM {
-	n := p.DRAMBanks
-	if n < 1 {
-		n = 1
-	}
-	for n&(n-1) != 0 {
-		n &= n - 1
-	}
-	lat := uint64(p.DRAMCycles)
-	if lat == 0 {
-		lat = 200
-	}
-	busy := uint64(p.DRAMBankBusy)
-	if busy == 0 {
-		busy = 16
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	return &DRAM{
-		banks:    make([]Resource, n),
-		bankMask: uint64(n - 1),
-		latency:  lat,
-		bankBusy: busy,
+		banks:    make([]Resource, p.DRAMBanks),
+		bankMask: uint64(p.DRAMBanks - 1),
+		latency:  uint64(p.DRAMCycles),
+		bankBusy: uint64(p.DRAMBankBusy),
 		contend:  contend,
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"sparc64v/internal/config"
 )
 
+// params is the base machine's memory side with a small, round DRAM and a
+// one-channel bus.
 func params() config.MemParams {
-	return config.MemParams{
-		DRAMCycles: 200, DRAMBanks: 4, DRAMBankBusy: 16,
-		BusBytesPerCycle: 8, BusRequestCycles: 2,
-	}
+	p := config.Base().Mem
+	p.DRAMCycles, p.DRAMBanks, p.DRAMBankBusy = 200, 4, 16
+	p.BusBytesPerCycle, p.BusRequestCycles = 8, 2
+	return p
 }
 
 func TestResourceQueuing(t *testing.T) {
@@ -78,7 +80,9 @@ func TestBusTransferBandwidth(t *testing.T) {
 	}
 	// A wider bus is multiple parallel channels: two 64-byte transfers at
 	// the same cycle complete together.
-	wide := NewBus(config.MemParams{BusBytesPerCycle: 16, BusRequestCycles: 2}, true)
+	p := params()
+	p.BusBytesPerCycle = 16
+	wide := NewBus(p, true)
 	d1 := wide.Transfer(0, 64)
 	d2 := wide.Transfer(0, 64)
 	if d1 != 8 || d2 != 8 {
@@ -131,19 +135,42 @@ func TestDRAMBanking(t *testing.T) {
 	}
 }
 
-func TestDefaultsApplied(t *testing.T) {
-	b := NewBus(config.MemParams{}, true)
-	if done := b.Transfer(0, 8); done != 1 {
-		t.Fatalf("default bandwidth transfer done = %d", done)
+// TestNewRejectsInvalidParams: the constructors no longer default or round
+// what MemParams.Validate rejects; they panic on it, so two configurations
+// that simulate the same machine can never differ only in such a value.
+func TestNewRejectsInvalidParams(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*config.MemParams)
+	}{
+		{"zero DRAM latency", func(p *config.MemParams) { p.DRAMCycles = 0 }},
+		{"zero bank busy time", func(p *config.MemParams) { p.DRAMBankBusy = 0 }},
+		{"zero banks", func(p *config.MemParams) { p.DRAMBanks = 0 }},
+		{"six banks", func(p *config.MemParams) { p.DRAMBanks = 6 }},
+		{"zero bus bandwidth", func(p *config.MemParams) { p.BusBytesPerCycle = 0 }},
+		{"zero request cycles", func(p *config.MemParams) { p.BusRequestCycles = 0 }},
+	} {
+		p := params()
+		tc.mutate(&p)
+		for ctor, build := range map[string]func(){
+			"NewDRAM": func() { NewDRAM(p, true) },
+			"NewBus":  func() { NewBus(p, true) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", tc.name, ctor)
+					}
+				}()
+				build()
+			}()
+		}
 	}
-	d := NewDRAM(config.MemParams{}, true)
-	if r := d.Access(0, 0); r != 200 {
-		t.Fatalf("default latency ready = %d", r)
-	}
-	// Non-power-of-two bank counts round down.
-	d2 := NewDRAM(config.MemParams{DRAMBanks: 6, DRAMCycles: 100, DRAMBankBusy: 10}, true)
-	if d2.bankMask != 3 {
-		t.Fatalf("bankMask = %d", d2.bankMask)
+	// A bus narrower than one channel still has one.
+	p := params()
+	p.BusBytesPerCycle = 4
+	if done := NewBus(p, true).Transfer(0, 8); done != 1 {
+		t.Fatalf("sub-channel bus transfer done = %d, want 1", done)
 	}
 }
 

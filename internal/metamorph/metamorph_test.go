@@ -230,7 +230,7 @@ func TestShadowCacheLRU(t *testing.T) {
 // pseudo-random stream over a small geometry — the same comparison
 // diff-cache-shadow runs on real traces, minus the simulator.
 func TestShadowAgreesWithCache(t *testing.T) {
-	geo := config.CacheGeometry{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, HitCycles: 1}
+	geo := config.CacheGeometry{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, HitCycles: 1, MSHRs: 1}
 	real := cache.New(geo)
 	shadow := newShadow(geo)
 	x := uint64(0x2545f491)

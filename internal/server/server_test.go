@@ -203,6 +203,23 @@ func TestRunOverlayRejection(t *testing.T) {
 		{"negative RAS entries", `{"RASEntries": -1}`},
 		{"zero prefetch degree", `{"Mem": {"PrefetchDegree": 0}}`},
 		{"prefetch table not a power of two", `{"Mem": {"PrefetchTableEntries": 48}}`},
+		// Regression: each of these used to pass Validate. The core ones
+		// burned 12M simulated cycles and answered 500; MSHRs and DRAM
+		// banks were clamped and ran under a key of their own.
+		{"zero fetch width", `{"CPU": {"FetchBytes": 0}}`},
+		{"zero fetch buffer", `{"CPU": {"FetchBufEntries": 0}}`},
+		{"zero integer station", `{"CPU": {"RSEEntries": 0}}`},
+		{"zero rename registers", `{"CPU": {"IntRenameRegs": 0}}`},
+		{"negative forward delay", `{"CPU": {"ForwardDelay": -1}}`},
+		{"negative mispredict redirect", `{"CPU": {"MispredictRedirect": -1}}`},
+		{"zero L1D MSHRs", `{"L1D": {"MSHRs": 0}}`},
+		{"negative L1D MSHRs", `{"L1D": {"MSHRs": -3}}`},
+		{"negative L1D banks", `{"L1D": {"Banks": -2}}`},
+		{"zero DRAM banks", `{"Mem": {"DRAMBanks": 0}}`},
+		{"DRAM banks not a power of two", `{"Mem": {"DRAMBanks": 6}}`},
+		{"negative DRAM latency", `{"Mem": {"DRAMCycles": -100}}`},
+		{"zero DRAM bank busy time", `{"Mem": {"DRAMBankBusy": 0}}`},
+		{"zero bus bandwidth", `{"Mem": {"BusBytesPerCycle": 0}}`},
 	} {
 		body := fmt.Sprintf(`{"workload":"specint95","insts":1000,"config":%s}`, tc.overlay)
 		resp, b := postRun(t, ts.URL, body)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -276,5 +278,30 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	ra, rb := a.Report("x"), b.Report("x")
 	if ra.String() != rb.String() {
 		t.Fatalf("reports diverge:\n%s\n%s", ra.String(), rb.String())
+	}
+}
+
+// TestMachineBytes bounds what building a machine allocates: the base
+// configuration takes at most 1.0 MB per CPU, on one CPU and on the
+// paper's 16. The L2 and the BHT are most of it, so this pins their compact
+// layout: tags, 32-bit LRU stamps and payloads in separate arrays.
+func TestMachineBytes(t *testing.T) {
+	for _, n := range []int{1, 16} {
+		cfg := config.Base().WithCPUs(n)
+		srcs := sources(workload.TPCC16P(), n, 1000)
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := New(cfg, srcs); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d CPUs: %d B, %d B per CPU", n, got, got/uint64(n))
+		if limit := uint64(n) * 1_000_000; got > limit {
+			t.Errorf("%d CPUs: New allocated %d B, over the %d B bound (1.0 MB per CPU)", n, got, limit)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // sets so that lookups stay O(ways) on the simulator's hot path. The
 // virtual page number is the tag; a way holds nothing else.
 type TLB struct {
-	pages     assoc.Table[struct{}]
+	pages     assoc.Table
 	setMask   uint64
 	pageShift uint
 	penalty   int
@@ -42,7 +42,7 @@ func New(g config.TLBGeometry) *TLB {
 	}
 	nsets := g.Entries / ways
 	return &TLB{
-		pages:     assoc.New[struct{}](nsets, ways),
+		pages:     assoc.New(nsets, ways),
 		setMask:   uint64(nsets - 1),
 		pageShift: uint(bits.TrailingZeros(uint(g.PageBytes))),
 		penalty:   g.MissPenalty,
@@ -56,7 +56,8 @@ func (t *TLB) Access(addr uint64) int {
 	t.Accesses++
 	vpn := addr >> t.pageShift
 	set := vpn & t.setMask
-	if t.pages.Lookup(set, vpn, true) != nil {
+	if i := t.pages.Lookup(set, vpn); i >= 0 {
+		t.pages.Touch(i)
 		return 0
 	}
 	t.Misses++

@@ -4,13 +4,13 @@
 # request crosses).
 #
 # Runs `go test -bench . -benchmem -count $BENCH_COUNT` (default 5), takes
-# the per-benchmark MEDIAN ns/op and allocs/op, writes them to
+# the per-benchmark MEDIAN ns/op, B/op and allocs/op, writes them to
 # BENCH_<sha>.json, and compares against scripts/bench_baseline.json:
 #
-#   - allocs/op may grow at most BENCH_ALLOC_TOLERANCE % (default 15).
-#     Allocation counts are deterministic and machine-independent, so this
-#     is the tight gate: a new per-job or per-request allocation fails CI
-#     on any host.
+#   - allocs/op and B/op may each grow at most BENCH_ALLOC_TOLERANCE %
+#     (default 15). Allocation counts and bytes are deterministic and
+#     machine-independent, so this is the tight gate: a new per-job or
+#     per-request allocation, or a fatter table, fails CI on any host.
 #   - ns/op may grow at most BENCH_NS_TOLERANCE % (default 75). Wall time
 #     on shared CI hosts is noisy, so by default this only catches
 #     catastrophic slowdowns; tighten locally (BENCH_NS_TOLERANCE=15) when
@@ -51,15 +51,17 @@ awk -v sha="$sha" -v count="$COUNT" '
   /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     full = pkg "/" name
-    ns = ""; allocs = ""
+    ns = ""; allocs = ""; bytes = ""
     for (i = 2; i <= NF; i++) {
       if ($i == "ns/op") ns = $(i - 1)
+      if ($i == "B/op") bytes = $(i - 1)
       if ($i == "allocs/op") allocs = $(i - 1)
     }
-    if (ns == "" || allocs == "") next
+    if (ns == "" || allocs == "" || bytes == "") next
     if (!(full in seen)) { order[++n] = full; seen[full] = 1 }
     nsv[full] = nsv[full] " " ns
     av[full] = av[full] " " allocs
+    bv[full] = bv[full] " " bytes
   }
   function median(str,    a, m, i, j, v) {
     m = split(str, a, " ")
@@ -74,8 +76,8 @@ awk -v sha="$sha" -v count="$COUNT" '
     printf "{\n  \"commit\": \"%s\",\n  \"count\": %d,\n  \"benchmarks\": [\n", sha, count
     for (i = 1; i <= n; i++) {
       f = order[i]
-      printf "    {\"name\":\"%s\",\"ns_per_op\":%g,\"allocs_per_op\":%g}%s\n", \
-        f, median(nsv[f]), median(av[f]), (i < n ? "," : "")
+      printf "    {\"name\":\"%s\",\"ns_per_op\":%g,\"allocs_per_op\":%g,\"bytes_per_op\":%d}%s\n", \
+        f, median(nsv[f]), median(av[f]), median(bv[f]), (i < n ? "," : "")
     }
     printf "  ]\n}\n"
   }
@@ -94,17 +96,19 @@ if [ ! -f "$BASELINE" ]; then
 fi
 
 # Each benchmark is one line of controlled JSON; split on double quotes:
-# q[4] is the name, q[7] is ":<ns>," and q[9] is ":<allocs>}...".
+# q[4] is the name, q[7] is ":<ns>,", q[9] is ":<allocs>," and q[11] is
+# ":<bytes>}...".
 if awk -v ns_tol="$NS_TOL" -v alloc_tol="$ALLOC_TOL" -v baseline="$BASELINE" '
   function num(s,    t) { t = s; gsub(/[^0-9.eE+-]/, "", t); return t + 0 }
+  function grow(base, cur) { return base > 0 ? (cur - base) * 100 / base : (cur > 0 ? 100 : 0) }
   FNR == 1 { file++ }
   /"name":/ {
     split($0, q, "\"")
     name = q[4]
     if (file == 1) {
-      bns[name] = num(q[7]); ba[name] = num(q[9]); inbase[name] = 1; border[++bn] = name
+      bns[name] = num(q[7]); ba[name] = num(q[9]); bb[name] = num(q[11]); inbase[name] = 1; border[++bn] = name
     } else {
-      cns[name] = num(q[7]); ca[name] = num(q[9]); incur[name] = 1; corder[++cn] = name
+      cns[name] = num(q[7]); ca[name] = num(q[9]); cb[name] = num(q[11]); incur[name] = 1; corder[++cn] = name
     }
   }
   END {
@@ -117,11 +121,12 @@ if awk -v ns_tol="$NS_TOL" -v alloc_tol="$ALLOC_TOL" -v baseline="$BASELINE" '
         continue
       }
       dns = (cns[name] - bns[name]) * 100 / bns[name]
-      da = ba[name] > 0 ? (ca[name] - ba[name]) * 100 / ba[name] : (ca[name] > 0 ? 100 : 0)
+      da = grow(ba[name], ca[name])
+      db = grow(bb[name], cb[name])
       status = "ok  "
-      if (da > alloc_tol || dns > ns_tol) { status = "FAIL"; fail = 1 }
-      printf "%s %-42s ns/op %9g -> %9g (%+7.1f%%, tol +%g%%)   allocs/op %4g -> %4g (%+7.1f%%, tol +%g%%)\n", \
-        status, name, bns[name], cns[name], dns, ns_tol, ba[name], ca[name], da, alloc_tol
+      if (da > alloc_tol || db > alloc_tol || dns > ns_tol) { status = "FAIL"; fail = 1 }
+      printf "%s %-42s ns/op %9g -> %9g (%+7.1f%%, tol +%g%%)   allocs/op %4g -> %4g (%+7.1f%%)   B/op %9d -> %9d (%+7.1f%%, tol +%g%%)\n", \
+        status, name, bns[name], cns[name], dns, ns_tol, ba[name], ca[name], da, bb[name], cb[name], db, alloc_tol
     }
     for (i = 1; i <= cn; i++) {
       name = corder[i]
