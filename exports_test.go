@@ -16,13 +16,14 @@ import (
 // mentions but that stay, keyed package.Name or package.Type.Method, each
 // with the reason it stays.
 var testOnlyAllowed = map[string]string{
-	"obs.Histogram.Quantile": "oracle for internal/server's TestEstimateLatencyP99, which lives in another package",
-	"stats.Table.Rows":       "oracle for the root and internal/expt tests, which count a study table's rows",
-	"stats.Breakdown.Sum":    "oracle for the root tests, which check that a Figure 7 breakdown sums to about 1",
-	"config.Config.WithName": "reached by users through the root facade's Config alias",
-	"core.Model.Config":      "reached by users through the root facade's Model alias",
-	"verif.ReadProgram":      "decoder of the program artifact cmd/tracegen writes, and the target of FuzzReadProgram",
-	"cpu.CPU.String":         "satisfies fmt.Stringer; internal/system's tests print a stuck CPU's pipeline state through it",
+	"obs.Histogram.Quantile":    "oracle for internal/server's TestEstimateLatencyP99, which lives in another package",
+	"stats.Table.Rows":          "oracle for the root and internal/expt tests, which count a study table's rows",
+	"stats.Breakdown.Sum":       "oracle for the root tests, which check that a Figure 7 breakdown sums to about 1",
+	"config.Config.WithName":    "reached by users through the root facade's Config alias",
+	"core.Model.Config":         "reached by users through the root facade's Model alias",
+	"verif.ReadProgram":         "decoder of the program artifact cmd/tracegen writes, and the target of FuzzReadProgram",
+	"cpu.CPU.String":            "satisfies fmt.Stringer; internal/system's tests print a stuck CPU's pipeline state through it",
+	"verif.byteReader.ReadByte": "satisfies io.ByteReader; ReadProgram's binary.ReadUvarint and ReadVarint calls reach it through the interface",
 }
 
 // TestNoTestOnlyExports fails when an exported top-level name or method

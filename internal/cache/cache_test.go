@@ -334,8 +334,16 @@ func TestBank(t *testing.T) {
 	if Bank(123, 1, 4) != 0 {
 		t.Error("single bank must map everything to 0")
 	}
-	if Bank(16, 8, 0) != Bank(16, 8, 4) {
-		t.Error("zero bank width must default to 4")
+	// A banked geometry without a bank width is rejected, not run as the
+	// 4-byte-bank machine.
+	g := geo(128<<10, 2)
+	g.Banks, g.BankBytes = 8, 0
+	if g.Validate() == nil {
+		t.Error("8 banks of zero width validated")
+	}
+	g.Banks = 1
+	if g.Validate() != nil {
+		t.Error("an unbanked geometry needs no bank width")
 	}
 }
 

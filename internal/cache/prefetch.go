@@ -79,13 +79,11 @@ func (p *Prefetcher) OnMiss(lineAddr uint64) []uint64 {
 
 // Bank returns the L1 operand cache bank an access maps to. The SPARC64 V
 // L1D is organized as eight four-byte banks; two same-cycle requests to the
-// same bank conflict and the younger retries (section 3.2).
+// same bank conflict and the younger retries (section 3.2). A banked
+// geometry has bankBytes ≥ 1 (config.CacheGeometry.Validate).
 func Bank(addr uint64, banks, bankBytes int) int {
 	if banks <= 1 {
 		return 0
-	}
-	if bankBytes < 1 {
-		bankBytes = 4
 	}
 	return int(addr / uint64(bankBytes) % uint64(banks))
 }

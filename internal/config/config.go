@@ -31,7 +31,8 @@ type CacheGeometry struct {
 	// Banks is the number of interleaved banks (0 = unbanked). The SPARC64 V
 	// L1 operand cache has eight 4-byte banks.
 	Banks int
-	// BankBytes is the width of one bank in bytes.
+	// BankBytes is the width of one bank in bytes; a banked cache
+	// (Banks > 1) needs at least one.
 	BankBytes int
 }
 
@@ -58,6 +59,9 @@ func (g CacheGeometry) Validate() error {
 	}
 	if g.MSHRs < 1 || g.Banks < 0 {
 		return fmt.Errorf("config: cache needs MSHRs ≥ 1 and banks ≥ 0, got %d and %d", g.MSHRs, g.Banks)
+	}
+	if g.Banks > 1 && g.BankBytes < 1 {
+		return fmt.Errorf("config: %d banks need a bank width ≥ 1, got %d", g.Banks, g.BankBytes)
 	}
 	return nil
 }
@@ -189,7 +193,8 @@ type MemParams struct {
 	DRAMBanks int
 	// DRAMBankBusy is the per-access bank occupancy (cycle time).
 	DRAMBankBusy int
-	// BusBytesPerCycle is the system-bus data bandwidth.
+	// BusBytesPerCycle is the system-bus data bandwidth: a positive
+	// multiple of BusChannelBytes.
 	BusBytesPerCycle int
 	// BusRequestCycles is the bus occupancy of a request/snoop message.
 	BusRequestCycles int
@@ -207,11 +212,17 @@ type MemParams struct {
 	PrefetchTableEntries int
 }
 
+// BusChannelBytes is the width of one system-bus data channel: the bus's
+// bandwidth is BusBytesPerCycle/BusChannelBytes parallel channels (a
+// crossbar-style data network, which is what enterprise SPARC systems of
+// this class shipped).
+const BusChannelBytes = 8
+
 // Validate checks the L2 geometry and every parameter behind it: the DRAM
 // latency and bank busy time are at least a cycle, the bank count is a
-// power of two, the bus moves at least a byte a cycle and a request
-// occupies it at least a cycle, no latency is negative, and an enabled
-// prefetcher has a degree and a power-of-two table.
+// power of two, the bus is a whole number of channels (at least one) and a
+// request occupies it at least a cycle, no latency is negative, and an
+// enabled prefetcher has a degree and a power-of-two table.
 func (p MemParams) Validate() error {
 	if err := p.L2.Validate(); err != nil {
 		return err
@@ -220,9 +231,9 @@ func (p MemParams) Validate() error {
 		return fmt.Errorf("config: DRAM needs latency and bank busy time ≥ 1 and a power-of-two bank count, "+
 			"got %d, %d and %d banks", p.DRAMCycles, p.DRAMBankBusy, p.DRAMBanks)
 	}
-	if p.BusBytesPerCycle < 1 || p.BusRequestCycles < 1 {
-		return fmt.Errorf("config: bus needs ≥ 1 byte per cycle and request cycles ≥ 1, got %d and %d",
-			p.BusBytesPerCycle, p.BusRequestCycles)
+	if p.BusBytesPerCycle < BusChannelBytes || p.BusBytesPerCycle%BusChannelBytes != 0 || p.BusRequestCycles < 1 {
+		return fmt.Errorf("config: bus needs a positive multiple of %d bytes per cycle and request cycles ≥ 1, got %d and %d",
+			BusChannelBytes, p.BusBytesPerCycle, p.BusRequestCycles)
 	}
 	if p.OffChipPenalty < 0 || p.CacheToCacheCycles < 0 {
 		return fmt.Errorf("config: negative off-chip penalty %d or cache-to-cache latency %d",

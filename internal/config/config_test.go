@@ -125,6 +125,10 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.Mem.DRAMCycles = -100 },
 		func(c *Config) { c.Mem.DRAMBankBusy = 0 },
 		func(c *Config) { c.Mem.BusBytesPerCycle = 0 },
+		func(c *Config) { c.Mem.BusBytesPerCycle = 4 },  // under one channel
+		func(c *Config) { c.Mem.BusBytesPerCycle = 12 }, // a channel and a half
+		func(c *Config) { c.L1D.BankBytes = 0 },         // 8 banks of no width
+		func(c *Config) { c.L1D.BankBytes = -4 },
 		func(c *Config) { c.Mem.BusRequestCycles = 0 },
 		func(c *Config) { c.Mem.OffChipPenalty = -1 },
 		func(c *Config) { c.Mem.CacheToCacheCycles = -1 },

@@ -9,10 +9,13 @@ package core
 // from these numbers plus the MP validation run in DESIGN.md.
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"testing"
 
 	"sparc64v/internal/config"
+	"sparc64v/internal/trace"
 	"sparc64v/internal/workload"
 )
 
@@ -102,3 +105,66 @@ func benchSweep(b *testing.B, batch bool) {
 
 func BenchmarkSerialSweep(b *testing.B)  { benchSweep(b, false) }
 func BenchmarkBatchedSweep(b *testing.B) { benchSweep(b, true) }
+
+// BenchmarkReplayRun is the trace-driven path: TPC-C 16P on four CPUs,
+// 30k records each, replayed from in-memory gzip trace files through
+// RunSourcesContext. It covers what BenchmarkSMPRun's generators bypass:
+// OpenReader's inflate and parse, and the read-ahead that overlaps them
+// with the machine.
+func BenchmarkReplayRun(b *testing.B) {
+	const cpus, insts = 4, 30_000
+	p := workload.TPCC16P()
+	files := make([][]byte, cpus)
+	for c, g := range workload.NewMP(p, 42, cpus) {
+		var buf bytes.Buffer
+		gz := gzip.NewWriter(&buf)
+		w, err := trace.NewWriterCount(gz, insts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := trace.NewLimitSource(g, insts)
+		var r trace.Record
+		for src.Next(&r) {
+			if err := w.Write(&r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			b.Fatal(err)
+		}
+		files[c] = buf.Bytes()
+	}
+	m, err := NewModel(config.Base().WithCPUs(cpus))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := RunOptions{Insts: insts, Workers: 1}
+	total := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		readers := make([]*trace.Reader, cpus)
+		srcs := make([]trace.Source, cpus)
+		for c, f := range files {
+			if readers[c], err = trace.OpenReader(bytes.NewReader(f)); err != nil {
+				b.Fatal(err)
+			}
+			srcs[c] = readers[c]
+		}
+		r, err := m.RunSourcesContext(context.Background(), p.Name, srcs, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rd := range readers {
+			if err := rd.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		total += int64(r.Committed)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-instrs/s")
+}

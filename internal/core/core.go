@@ -164,12 +164,21 @@ func (m *Model) runKey(p workload.Profile, opt RunOptions) (runcache.Key, error)
 }
 
 // RunSourcesContext simulates explicit trace sources (e.g. trace files),
-// one per CPU: a batch of one through the run engine, reading the sources
-// directly. On cancellation it returns the partial report alongside an
-// error wrapping ctx.Err().
+// one per CPU: a batch of one through the run engine. Each source is
+// decoded ahead of the machine by a trace.ReadAhead, and every read-ahead
+// has stopped by the time RunSourcesContext returns, however the run ends,
+// so the caller may inspect its sources afterwards (a trace.Reader's Err).
+// On cancellation it returns the partial report alongside an error
+// wrapping ctx.Err().
 func (m *Model) RunSourcesContext(ctx context.Context, label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
 	opt.defaults()
-	mb, err := m.start(label, srcs, opt, false)
+	ahead := make([]trace.Source, len(srcs))
+	for i, src := range srcs {
+		ra := trace.NewReadAhead(src)
+		defer ra.Close()
+		ahead[i] = ra
+	}
+	mb, err := m.start(label, ahead, opt, false)
 	if err != nil {
 		return system.Report{}, err
 	}

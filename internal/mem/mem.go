@@ -33,10 +33,8 @@ func (r *Resource) Acquire(cycle, busy uint64, contend bool) uint64 {
 }
 
 // channelBytes is the width of one data channel; the configured bus
-// bandwidth is provided by BusBytesPerCycle/channelBytes parallel channels
-// (a crossbar-style data network, which is what enterprise SPARC systems
-// of this class shipped).
-const channelBytes = 8
+// bandwidth is provided by BusBytesPerCycle/channelBytes parallel channels.
+const channelBytes = config.BusChannelBytes
 
 // Bus is the system interconnect connecting processor chips and memory: an
 // address/snoop network plus a multi-channel data network.
@@ -48,7 +46,7 @@ type Bus struct {
 }
 
 // NewBus builds the bus from the memory parameters, which must pass
-// p.Validate. A bus narrower than one channel gets one channel.
+// p.Validate.
 func NewBus(p config.MemParams, contend bool) *Bus {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -56,7 +54,7 @@ func NewBus(p config.MemParams, contend bool) *Bus {
 	nreq := 2
 	return &Bus{
 		req:     make([]Resource, nreq),
-		data:    make([]Resource, max(p.BusBytesPerCycle/channelBytes, 1)),
+		data:    make([]Resource, p.BusBytesPerCycle/channelBytes),
 		reqBusy: uint64(p.BusRequestCycles),
 		contend: contend,
 	}

@@ -148,6 +148,9 @@ func TestNewRejectsInvalidParams(t *testing.T) {
 		{"zero banks", func(p *config.MemParams) { p.DRAMBanks = 0 }},
 		{"six banks", func(p *config.MemParams) { p.DRAMBanks = 6 }},
 		{"zero bus bandwidth", func(p *config.MemParams) { p.BusBytesPerCycle = 0 }},
+		// Both used to build one channel, the 8 B/cycle bus.
+		{"bus under one channel", func(p *config.MemParams) { p.BusBytesPerCycle = 4 }},
+		{"bus not a whole number of channels", func(p *config.MemParams) { p.BusBytesPerCycle = 12 }},
 		{"zero request cycles", func(p *config.MemParams) { p.BusRequestCycles = 0 }},
 	} {
 		p := params()
@@ -165,12 +168,6 @@ func TestNewRejectsInvalidParams(t *testing.T) {
 				build()
 			}()
 		}
-	}
-	// A bus narrower than one channel still has one.
-	p := params()
-	p.BusBytesPerCycle = 4
-	if done := NewBus(p, true).Transfer(0, 8); done != 1 {
-		t.Fatalf("sub-channel bus transfer done = %d, want 1", done)
 	}
 }
 

@@ -220,6 +220,11 @@ func TestRunOverlayRejection(t *testing.T) {
 		{"negative DRAM latency", `{"Mem": {"DRAMCycles": -100}}`},
 		{"zero DRAM bank busy time", `{"Mem": {"DRAMBankBusy": 0}}`},
 		{"zero bus bandwidth", `{"Mem": {"BusBytesPerCycle": 0}}`},
+		// Regression: these ran as the 8 B/cycle bus and the 4-byte-bank
+		// L1D under keys of their own.
+		{"bus under one channel", `{"Mem": {"BusBytesPerCycle": 4}}`},
+		{"bus not a whole number of channels", `{"Mem": {"BusBytesPerCycle": 12}}`},
+		{"zero L1D bank width", `{"L1D": {"BankBytes": 0}}`},
 	} {
 		body := fmt.Sprintf(`{"workload":"specint95","insts":1000,"config":%s}`, tc.overlay)
 		resp, b := postRun(t, ts.URL, body)

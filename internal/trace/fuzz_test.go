@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzReader feeds arbitrary bytes to the trace reader: it must never
-// panic, and every record it does yield must validate.
+// panic, every record it does yield must validate, and it must agree with
+// the byte-at-a-time reference decoder (reference_test.go) record for
+// record and error for error.
 func FuzzReader(f *testing.F) {
 	// Seed with a real trace prefix and some junk.
 	var buf bytes.Buffer
@@ -23,6 +25,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte(Magic))
 	f.Add([]byte("garbage"))
 	f.Add([]byte{0x1f, 0x8b, 0x00})
+	f.Add(gzipBytes(buf.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd, err := OpenReader(bytes.NewReader(data))
@@ -35,5 +38,6 @@ func FuzzReader(f *testing.F) {
 				t.Fatalf("reader yielded invalid record: %v", err)
 			}
 		}
+		checkSame(t, "fuzz input", data, true)
 	})
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Benchmark regression gate over the scheduler, run-cache, placement,
-# run-key, predictor and cache micro-benchmarks (the paths every simulation
-# request crosses).
+# run-key, predictor, cache and trace-decode micro-benchmarks (the paths
+# every simulation request crosses).
 #
 # Runs `go test -bench . -benchmem -count $BENCH_COUNT` (default 5), takes
 # the per-benchmark MEDIAN ns/op, B/op and allocs/op, writes them to
@@ -26,7 +26,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload ./internal/config ./internal/server ./internal/bpred ./internal/cache"
+PKGS="./internal/sched ./internal/runcache ./internal/core ./internal/ring ./internal/workload ./internal/config ./internal/server ./internal/bpred ./internal/cache ./internal/trace"
 COUNT="${BENCH_COUNT:-5}"
 NS_TOL="${BENCH_NS_TOLERANCE:-75}"
 ALLOC_TOL="${BENCH_ALLOC_TOLERANCE:-15}"
